@@ -9,6 +9,7 @@ They live here so their numerical behaviour is pinned down in one place.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,25 +68,34 @@ def as_matrix(a, name: str = "matrix", min_rows: int = 1) -> np.ndarray:
 def _solve_spd(gram: np.ndarray, rhs: np.ndarray, c: float) -> np.ndarray:
     """Solve (gram + I/c) x = rhs by Cholesky with a jittered retry ladder.
 
+    Consumes ``gram``, an exactly symmetric C-ordered temporary: ``gram.T`` is
+    the same matrix in Fortran order, so LAPACK factors it in place, without a
+    copy, overwriting only the diagonal and the upper triangle; a retry
+    restores them from the saved diagonal and the strict lower triangle.
+
     The ridge term keeps the system positive definite except in pathological
     cases; on failure the diagonal is jittered by 1e-10 * trace/n, doubled up
-    to three times.  With c = inf no jitter is applied: a singular system is
-    reported instead of silently regularized.
+    to three times, and a RuntimeWarning names the jitter that succeeded.
+    With c = inf no jitter is applied: a singular system is reported instead
+    of silently regularized.
     """
     n = gram.shape[0]
     ridge = 0.0 if math.isinf(c) else 1.0 / c
-    base = 1e-10 * (np.trace(gram) / n if np.trace(gram) > 0 else 1.0)
+    diag = gram.diagonal().copy()
+    base = 1e-10 * (diag.sum() / n if diag.sum() > 0 else 1.0)
     jitter = 0.0
     for attempt in range(4):
-        a = gram.copy()
-        a.flat[:: n + 1] += ridge + jitter
+        gram.flat[:: n + 1] = diag + (ridge + jitter)
         try:
-            cf = scipy.linalg.cho_factor(a, lower=True, overwrite_a=True, check_finite=False)
+            cf = scipy.linalg.cho_factor(gram.T, lower=True, overwrite_a=True, check_finite=False)
             if ridge + jitter == 0.0:
                 # rounding can let potrf succeed on a singular matrix; vet the factor
                 d = np.abs(np.diag(cf[0]))
                 if d.min() ** 2 <= 16.0 * n * np.finfo(np.float64).eps * d.max() ** 2:
                     raise np.linalg.LinAlgError("factor is numerically rank deficient")
+            if jitter:
+                msg = f"Cholesky succeeded only after adding jitter {jitter:.3e} to the diagonal"
+                warnings.warn(msg, RuntimeWarning, stacklevel=2)
             return scipy.linalg.cho_solve(cf, rhs, check_finite=False)
         except np.linalg.LinAlgError:
             if math.isinf(c):
@@ -93,6 +103,8 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray, c: float) -> np.ndarray:
                     "system is rank deficient with c = inf; supply a finite c"
                 ) from None
             jitter = base * (2.0 ** attempt)
+            for i in range(n - 1):  # potrf overwrote the upper triangle; mirror the lower one back
+                gram[i, i + 1 :] = gram[i + 1 :, i]
     raise NumericalError("Cholesky failed even after jittered retries")
 
 

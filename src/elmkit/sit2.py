@@ -64,8 +64,9 @@ def _product_ridge(phi, xb, t, c, xxt=None):
 
     Tall systems accumulate the primal Gram over row blocks.  Wide systems
     exploit h_p . h_q = (phi_p . phi_q)(xb_p . xb_q): the dual Gram is the
-    elementwise product of the two small Grams, and the weights fold back
-    rule by rule.  ``xxt`` lets callers share xb @ xb.T across solves.
+    elementwise product of the two small Grams, factored in place, and the
+    weights fold back for all rules with one GEMM.  ``xxt`` lets callers
+    share xb @ xb.T across solves.
     """
     p, m_rules = phi.shape
     k = xb.shape[1]
@@ -83,9 +84,9 @@ def _product_ridge(phi, xb, t, c, xxt=None):
         gram = phi @ phi.T
         gram *= xxt if xxt is not None else xb @ xb.T
         alpha = _solve_spd(gram, t, c)
-        b = np.empty((m, t.shape[1]))
-        for j in range(m_rules):
-            b[j * k : (j + 1) * k] = (phi[:, j : j + 1] * xb).T @ alpha
+        # b[j*k + a] = sum_p phi[p, j] xb[p, a] alpha[p], for every (rule, output) column
+        folded = xb.T @ (phi[:, :, None] * alpha[:, None, :]).reshape(p, -1)
+        b = folded.reshape(k, m_rules, -1).transpose(1, 0, 2).reshape(m, -1)
     if not np.all(np.isfinite(b)):
         raise NumericalError("consequent solution contains non-finite entries")
     return np.ascontiguousarray(b)

@@ -1,13 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elmkit.numerics import (
     NumericalError,
     Rng,
+    _solve_spd,
     orthonormal_random,
     pseudo_inverse,
     ridge_solve,
@@ -88,6 +91,53 @@ def test_singular_system_with_infinite_c_raises():
 def test_singular_system_with_finite_c_solves():
     h = np.ones((3, 2))
     b = ridge_solve(h, np.ones((3, 1)), 100.0)
+    assert np.all(np.isfinite(b))
+
+
+def copy_based_spd_solve(gram, rhs, c):
+    """Reference: factor a fresh copy of gram + (1/c + jitter) I for each rung
+    of the jitter ladder until one succeeds; returns (solution, jitter)."""
+    n = gram.shape[0]
+    trace = np.trace(gram)
+    base = 1e-10 * (trace / n if trace > 0 else 1.0)
+    for jitter in (0.0, base, 2.0 * base, 4.0 * base):
+        a = gram.copy()
+        a.flat[:: n + 1] += 1.0 / c + jitter
+        try:
+            cf = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            continue
+        return scipy.linalg.cho_solve(cf, rhs, check_finite=False), jitter
+    raise AssertionError("reference solve failed on every rung")
+
+
+@pytest.mark.parametrize(
+    "n, rank, c",
+    [(50, 3, 1e4), (400, 20, 1e8), (300, 300, 1.0), (50, 3, 1e30), (400, 20, 1e30), (300, 300, 1e30)],
+)
+def test_in_place_spd_solve_is_bitwise_the_copy_based_one(n, rank, c):
+    gen = Rng(n + rank).generator()
+    h = gen.standard_normal((n, rank))
+    gram = h @ h.T
+    assert np.array_equal(gram, gram.T)
+    rhs = gen.standard_normal((n, 3))
+    expected, jitter = copy_based_spd_solve(gram, rhs, c)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _solve_spd(gram.copy(), rhs, c)
+    assert got.tobytes() == expected.tobytes()
+    # a retry rebuilt the consumed matrix: the ladder's rung that succeeded is
+    # the jitter the warning names, and the rank-deficient c = 1e30 cases need one
+    assert (jitter > 0.0) == (c == 1e30 and rank < n)
+    assert [str(w.message) for w in caught] == (
+        [f"Cholesky succeeded only after adding jitter {jitter:.3e} to the diagonal"] if jitter else []
+    )
+
+
+def test_jittered_solve_warns():
+    h = np.ones((3, 2))  # rank 1: the 1e-30 ridge alone leaves it singular
+    with pytest.warns(RuntimeWarning, match="jitter"):
+        b = ridge_solve(h, np.ones((3, 1)), 1e30)
     assert np.all(np.isfinite(b))
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -119,17 +121,21 @@ def test_predict_empty_batch():
 
 
 def test_product_ridge_structured_matches_explicit():
-    gen = Rng(71).generator()
-    p, m_rules, k, outs = 12, 6, 5, 3  # m = 30 > p forces the dual route
-    phi = gen.uniform(0.1, 1.0, (p, m_rules))
-    xb = gen.uniform(-1.0, 1.0, (p, k))
-    t = gen.uniform(-1.0, 1.0, (p, outs))
-    h = (phi[:, :, None] * xb[:, None, :]).reshape(p, m_rules * k)
     from elmkit.numerics import ridge_solve
 
-    expected = ridge_solve(h, t, 50.0)
-    got = _product_ridge(phi, xb, t, 50.0)
-    np.testing.assert_allclose(got, expected, rtol=1e-8, atol=1e-10)
+    for p, m_rules, k, outs in [
+        (12, 6, 5, 3),  # m = 30 > p forces the dual route
+        (12, 6, 5, 1),  # one output column, as each refinement solve passes
+        (15, 9, 4, 2),  # more rules than outputs and inputs: pins the fold's (k, rules, outs) transpose
+    ]:
+        gen = Rng(71).generator()
+        phi = gen.uniform(0.1, 1.0, (p, m_rules))
+        xb = gen.uniform(-1.0, 1.0, (p, k))
+        t = gen.uniform(-1.0, 1.0, (p, outs))
+        h = (phi[:, :, None] * xb[:, None, :]).reshape(p, m_rules * k)
+        expected = ridge_solve(h, t, 50.0)
+        got = _product_ridge(phi, xb, t, 50.0)
+        np.testing.assert_allclose(got, expected, rtol=1e-8, atol=1e-10)
 
 
 def test_product_ridge_blocked_tall_matches_explicit():
@@ -153,3 +159,21 @@ def test_refinement_does_not_hurt_separable_fit():
     acc_ref = (predict_labels(sit2_predict(refined, x)) == labels).mean()
     acc_init = (predict_labels(sit2_predict(initial, x)) == labels).mean()
     assert acc_ref >= acc_init - 0.02
+
+
+def test_dual_product_ridge_holds_two_gram_buffers():
+    # the Gram and the shared xb @ xb.T, as sit2_train holds it, are the only
+    # p x p arrays: a defensive copy, or a Fortran-order copy made for LAPACK,
+    # would add a third
+    gen = Rng(73).generator()
+    p, m_rules, k = 1200, 30, 50  # m = 1500 > p: the dual route
+    phi = gen.uniform(0.1, 1.0, (p, m_rules))
+    xb = gen.uniform(-1.0, 1.0, (p, k))
+    t = gen.uniform(-1.0, 1.0, (p, 1))
+    tracemalloc.start()
+    try:
+        _product_ridge(phi, xb, t, 50.0, xb @ xb.T)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * p * p
