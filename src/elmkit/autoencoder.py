@@ -86,20 +86,16 @@ class FeatureStack:
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
-        """[n_inputs, width_1, ..., width_L]."""
+        """[n_inputs, width_1, ..., width_L]; () for a stack without layers."""
+        if not self.layers:
+            return ()
         return (self.layers[0].n_inputs,) + tuple(ae.n_hidden for ae in self.layers)
-
-    @property
-    def n_outputs(self) -> int:
-        return self.layers[-1].n_hidden
 
 
 def stack_train(x, layer_sizes, cs, rng: Rng) -> FeatureStack:
-    """Train layer s on the encoding produced by layers 1..s-1."""
+    """Train layer s on the encoding produced by layers 1..s-1; no layers is the identity."""
     layer_sizes = [int(m) for m in layer_sizes]
     cs = [float(c) for c in cs]
-    if not layer_sizes:
-        raise ValueError("layer_sizes must name at least one layer")
     if len(layer_sizes) != len(cs):
         raise ValueError(
             f"need one c per layer: {len(layer_sizes)} layers, {len(cs)} cs"

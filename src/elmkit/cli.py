@@ -13,11 +13,10 @@ import os
 import sys
 import tempfile
 import time
-
-import numpy as np
+from dataclasses import replace
 
 from .data import LabeledDataset, load_csv, load_idx, save_idx, split_train_test
-from .elm import elm_predict, elm_train, predict_labels
+from .elm import predict_labels
 from .imaging import SegmentParams, read_ppm, segment_object, write_ppm
 from .metrics import (
     ConfusionMatrix,
@@ -28,13 +27,7 @@ from .metrics import (
 )
 from .model_io import load_model, save_model
 from .numerics import NumericalError, Rng
-from .pipeline import (
-    FeatureScaler,
-    PipelineConfig,
-    hml_predict,
-    hml_train,
-    one_hot,
-)
+from .pipeline import PipelineConfig, hml_predict, hml_train
 from .shapes import HUE_BAND, synth_shape_dataset
 from .type_reduction import FiringInterval, brute_force_cos, ekm_reduce, nt_defuzz, sc_reduce
 
@@ -92,10 +85,9 @@ def load_manifest(path) -> LabeledDataset:
 
 
 def cmd_train(args) -> int:
-    config_dict = _load_json(args.config, "config")
+    config = PipelineConfig.from_dict(_load_json(args.config, "config"))
     if args.seed is not None:
-        config_dict["seed"] = args.seed
-    config = PipelineConfig.from_dict(config_dict)
+        config = replace(config, seed=args.seed)
     ds = load_manifest(args.data)
     model = hml_train(ds.x, ds.labels, config)
     save_model(model, args.out)
@@ -175,44 +167,28 @@ def cmd_bench(args) -> int:
     ds = load_manifest(args.data)
     cfg = dict(DEFAULT_BENCH)
     if args.config:
-        cfg.update(_load_json(args.config, "config"))
+        user = _load_json(args.config, "config")
+        if not isinstance(user, dict):
+            raise ValueError(f"config must be a JSON object, got {type(user).__name__}")
+        cfg.update(user)
     seed = args.seed or 0
-    train, test = split_train_test(ds, args.test_fraction, Rng(seed).split(777))
-    t = one_hot(train.labels, ds.n_classes)
-    rows = []
-
-    scaler = FeatureScaler.fit(train.x)
-    t0 = time.perf_counter()
-    elm = elm_train(scaler.transform(train.x), t, int(cfg["elm_hidden"]), cfg["Cs"][-1], Rng(seed))
-    elm_seconds = time.perf_counter() - t0
-    elm_test = (predict_labels(elm_predict(elm, scaler.transform(test.x))) == test.labels).mean()
-    elm_train_acc = (
-        predict_labels(elm_predict(elm, scaler.transform(train.x))) == train.labels
-    ).mean()
-    rows.append(
-        {
-            "model": "elm",
-            "structure": [int(cfg["elm_hidden"])],
-            "train_accuracy": float(elm_train_acc),
-            "test_accuracy": float(elm_test),
-            "train_seconds": elm_seconds,
-        }
+    elm_hidden = cfg.pop("elm_hidden")
+    base = PipelineConfig.from_dict({**cfg, "seed": seed})
+    elm = {"layer_sizes": [], "Cs": [base.cs[-1]], "head": "elm", "head_size": elm_hidden, "seed": seed}
+    pipelines = (
+        ("elm", PipelineConfig.from_dict(elm)),
+        ("ml-elm", replace(base, head="ridge")),
+        ("hml-elm", replace(base, head="sit2")),
     )
-
-    for name, head in (("ml-elm", "ridge"), ("hml-elm", "sit2")):
-        pipe_cfg = PipelineConfig(
-            tuple(cfg["layer_sizes"]),
-            tuple(cfg["Cs"]),
-            head=head,
-            head_size=int(cfg["head_size"]),
-            seed=seed,
-        )
+    train, test = split_train_test(ds, args.test_fraction, Rng(seed).split(777))
+    rows = []
+    for name, pipe_cfg in pipelines:
         model = hml_train(train.x, train.labels, pipe_cfg)
         test_acc = (predict_labels(hml_predict(model, test.x)) == test.labels).mean()
         rows.append(
             {
                 "model": name,
-                "structure": [train.n_features, *pipe_cfg.layer_sizes, int(cfg["head_size"]), ds.n_classes],
+                "structure": [train.n_features, *pipe_cfg.layer_sizes, pipe_cfg.head_size, ds.n_classes],
                 "train_accuracy": model.metrics.train_accuracy,
                 "test_accuracy": float(test_acc),
                 "train_seconds": model.metrics.total_seconds,

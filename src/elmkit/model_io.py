@@ -10,8 +10,8 @@ serialize identically; nothing time- or host-dependent is written.
 from __future__ import annotations
 
 import json
+import math
 import os
-import struct
 import tempfile
 
 import numpy as np
@@ -24,6 +24,8 @@ from .type_reduction import It2RuleBase
 
 MAGIC = b"ELMKITM\x01"
 FORMAT_VERSION = 1
+# per-layer header fields, in Autoencoder constructor order after beta
+LAYER_FIELDS = ("mode", "activation", "c", "reconstruction_error", "beta_orthogonality_gap")
 
 
 def _array_bytes(a: np.ndarray) -> bytes:
@@ -83,15 +85,7 @@ def save_model(model: HmlModel, path) -> None:
     layer_meta = []
     for i, ae in enumerate(model.stack.layers):
         arrays[f"stack.{i}.beta"] = ae.beta
-        layer_meta.append(
-            {
-                "mode": ae.mode,
-                "activation": ae.activation,
-                "c": ae.c,
-                "reconstruction_error": ae.reconstruction_error,
-                "beta_orthogonality_gap": ae.beta_orthogonality_gap,
-            }
-        )
+        layer_meta.append({k: getattr(ae, k) for k in LAYER_FIELDS})
     names = sorted(arrays)
     sections = []
     offset = 0
@@ -118,7 +112,7 @@ def save_model(model: HmlModel, path) -> None:
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(MAGIC)
-            f.write(struct.pack("<I", len(blob)))
+            f.write(len(blob).to_bytes(4, "little"))
             f.write(blob)
             for name in names:
                 f.write(_array_bytes(np.asarray(arrays[name])))
@@ -129,39 +123,56 @@ def save_model(model: HmlModel, path) -> None:
         raise
 
 
+def _read_arrays(sections, payload: memoryview, path) -> dict:
+    """Arrays of a section table that tiles the payload in order from offset 0."""
+    if not isinstance(sections, list):
+        raise ValueError(f"{path}: header has no array table")
+    arrays = {}
+    end = 0
+    for section in sections:
+        if not isinstance(section, dict):
+            raise ValueError(f"{path}: array section {section!r} is not a JSON object")
+        name, shape = section.get("name"), section.get("shape")
+        if not (isinstance(shape, list) and all(isinstance(d, int) and d >= 0 for d in shape)):
+            raise ValueError(f"{path}: array {name!r} has a malformed shape {shape!r}")
+        if not isinstance(name, str) or name in arrays:
+            raise ValueError(f"{path}: array name {name!r} is missing or repeated")
+        nbytes = 8 * math.prod(shape)
+        if section.get("offset") != end or section.get("nbytes") != nbytes:
+            raise ValueError(f"{path}: array {name!r} does not follow the previous section")
+        raw = payload[end : end + nbytes]
+        if len(raw) != nbytes:
+            raise ValueError(f"{path}: truncated array payload for {name}")
+        arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        end += nbytes
+    if end != len(payload):
+        raise ValueError(f"{path}: {len(payload) - end} bytes follow the last array")
+    return arrays
+
+
 def load_model(path) -> HmlModel:
     with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != MAGIC:
-            raise ValueError(f"{path}: not a model file (bad magic)")
-        (header_len,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(header_len).decode())
-        if header.get("format_version") != FORMAT_VERSION:
-            raise ValueError(
-                f"{path}: unsupported model format version {header.get('format_version')}"
-            )
-        payload = f.read()
-    arrays = {}
-    for section in header["arrays"]:
-        start = section["offset"]
-        raw = payload[start : start + section["nbytes"]]
-        if len(raw) != section["nbytes"]:
-            raise ValueError(f"{path}: truncated array payload for {section['name']}")
-        arrays[section["name"]] = np.frombuffer(raw, dtype="<f8").reshape(section["shape"]).copy()
-    scaler = FeatureScaler(arrays["scaler.offset"], arrays["scaler.span"])
-    layers = []
-    for i, meta in enumerate(header["stack_layers"]):
-        layers.append(
-            Autoencoder(
-                arrays[f"stack.{i}.beta"],
-                meta["mode"],
-                meta["activation"],
-                meta["c"],
-                meta["reconstruction_error"],
-                meta["beta_orthogonality_gap"],
-            )
-        )
-    head = _restore_head(header["head"], arrays)
-    config = PipelineConfig.from_dict(header["config"])
-    metrics = TrainMetrics(0.0, 0.0, header["train_accuracy"])
-    return HmlModel(scaler, FeatureStack(tuple(layers)), head, config, header["n_classes"], metrics)
+        data = f.read()
+    if data[:8] != MAGIC:
+        raise ValueError(f"{path}: not a model file (bad magic)")
+    header_end = 12 + int.from_bytes(data[8:12], "little")
+    if len(data) < header_end:
+        raise ValueError(f"{path}: truncated header")
+    header = json.loads(data[12:header_end].decode())
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header is not a JSON object")
+    if header.get("format_version") != FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported model format version {header.get('format_version')}")
+    arrays = _read_arrays(header.get("arrays"), memoryview(data)[header_end:], path)
+    try:
+        scaler = FeatureScaler(arrays["scaler.offset"], arrays["scaler.span"])
+        layers = [
+            Autoencoder(arrays[f"stack.{i}.beta"], *(meta[k] for k in LAYER_FIELDS))
+            for i, meta in enumerate(header["stack_layers"])
+        ]
+        head = _restore_head(header["head"], arrays)
+        config = PipelineConfig.from_dict(header["config"])
+        metrics = TrainMetrics(0.0, 0.0, header["train_accuracy"])
+        return HmlModel(scaler, FeatureStack(tuple(layers)), head, config, header["n_classes"], metrics)
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"{path}: malformed model header ({type(e).__name__}: {e})") from None

@@ -25,7 +25,7 @@ HEADS = ("sit2", "ridge", "elm")
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    layer_sizes: tuple[int, ...]  # autoencoder widths, input width excluded
+    layer_sizes: tuple[int, ...]  # autoencoder widths, input width excluded; () for none
     cs: tuple[float, ...]  # one ridge constant per layer plus one for the head
     head: str = "sit2"
     head_size: int = 40  # fuzzy rules for sit2, hidden nodes for elm; ridge ignores it
@@ -34,8 +34,6 @@ class PipelineConfig:
     def __post_init__(self):
         object.__setattr__(self, "layer_sizes", tuple(int(m) for m in self.layer_sizes))
         object.__setattr__(self, "cs", tuple(float(c) for c in self.cs))
-        if not self.layer_sizes:
-            raise ValueError("layer_sizes must name at least one autoencoder layer")
         if any(m < 1 for m in self.layer_sizes):
             raise ValueError("layer widths must be >= 1")
         if len(self.cs) != len(self.layer_sizes) + 1:
@@ -60,21 +58,27 @@ class PipelineConfig:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "PipelineConfig":
+    def from_dict(cls, d) -> "PipelineConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
         known = {"layer_sizes", "Cs", "head", "head_size", "seed"}
         extra = set(d) - known
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
         if "layer_sizes" not in d or "Cs" not in d:
             raise ValueError("config requires layer_sizes and Cs")
-        cs = [float(c) for c in d["Cs"]]
-        return cls(
-            layer_sizes=tuple(d["layer_sizes"]),
-            cs=tuple(cs),
-            head=d.get("head", "sit2"),
-            head_size=int(d.get("head_size", 40)),
-            seed=int(d.get("seed", 0)),
-        )
+        if not all(isinstance(d[k], (list, tuple)) for k in ("layer_sizes", "Cs")):
+            raise ValueError("config layer_sizes and Cs must be lists")
+        try:
+            return cls(
+                layer_sizes=tuple(d["layer_sizes"]),
+                cs=tuple(d["Cs"]),
+                head=d.get("head", "sit2"),
+                head_size=int(d.get("head_size", 40)),
+                seed=int(d.get("seed", 0)),
+            )
+        except TypeError as e:
+            raise ValueError(f"malformed config: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -120,7 +124,7 @@ class HmlModel:
 
     @property
     def n_features(self) -> int:
-        return self.stack.layers[0].n_inputs
+        return self.scaler.offset.size
 
 
 def _head_train(feats, t, config: PipelineConfig, rng: Rng) -> Head:

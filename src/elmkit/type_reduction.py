@@ -66,16 +66,10 @@ class It2RuleBase:
 
 @dataclass(frozen=True)
 class FiringInterval:
-    """Per-rule activation interval, jointly rescaled so max(upper) = 1.
-
-    ``scale_log`` records the common log-offset that was removed; reducers
-    never need it (they are scale invariant) but it keeps the raw
-    magnitudes recoverable.
-    """
+    """Per-rule activation interval, jointly rescaled so max(upper) = 1."""
 
     lower: np.ndarray
     upper: np.ndarray
-    scale_log: float = 0.0
 
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=np.float64).ravel()
@@ -109,30 +103,24 @@ class ReducedInterval:
 
 
 def firing_strengths(rules: It2RuleBase, x) -> FiringInterval:
-    """Product-of-Gaussians firing interval for a single input vector.
-
-    Evaluated in log space and shifted by a common constant so the largest
-    upper strength is exactly 1; the shift is harmless by scale invariance
-    and keeps thousand-dimensional products from underflowing.
-    """
+    """Firing interval for a single input vector: a one-row ``firing_batch``."""
     x = np.asarray(x, dtype=np.float64).ravel()
     if x.size != rules.n_inputs:
         raise ValueError(f"input has {x.size} values, rules expect {rules.n_inputs}")
     if not np.all(np.isfinite(x)):
         raise ValueError("input contains NaN or Inf")
-    d2 = ((x[None, :] - rules.centers) ** 2).sum(axis=1)
-    log_upper = -d2 / (2.0 * rules.sigma_upper**2)
-    log_lower = -d2 / (2.0 * rules.sigma_lower**2)
-    shift = float(log_upper.max())
-    return FiringInterval(np.exp(log_lower - shift), np.exp(log_upper - shift), shift)
+    lower, upper, _ = firing_batch(rules, x[None])
+    return FiringInterval(lower[0], upper[0])
 
 
 def firing_batch(rules: It2RuleBase, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise ``firing_strengths`` over a sample matrix.
+    """Product-of-Gaussians firing intervals, one row per sample.
 
     Returns (lower, upper, shifts) with lower/upper of shape (n_samples,
-    n_rules).  Arithmetic matches the scalar routine exactly so both paths
-    are interchangeable.
+    n_rules).  Each row is evaluated in log space and shifted by its own
+    constant (returned in ``shifts``) so its largest upper strength is
+    exactly 1; the shift is harmless by scale invariance and keeps
+    thousand-dimensional products from underflowing.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != rules.n_inputs:
@@ -294,64 +282,24 @@ def nt_defuzz(f: FiringInterval, w) -> float:
 # sort-free sweeps
 
 
-def _sc_endpoint(lower: np.ndarray, upper: np.ndarray, w: np.ndarray, left: bool):
-    """Sweep rule indices flipping band assignments until a fixed point.
-
-    The running (d1, d2) always equal the denominator/numerator of the
-    closed-form output for the current assignment; a flip adjusts them by
-    the rule's band gap.  Ties (w[j] exactly equal to the current output)
-    keep the current assignment, which avoids oscillation.
-    """
-    m = w.size
-    delta = upper - lower
-    z = np.ones(m, dtype=np.int8)
-    d1 = float(upper.sum())
-    d2 = float((upper * w).sum())
-    for _ in range(m + 2):
-        flipped = False
-        for j in range(m):
-            a = w[j] * d1 - d2
-            if a == 0.0:
-                continue
-            z_new = (1 if a < 0.0 else 0) if left else (1 if a > 0.0 else 0)
-            if z_new != z[j]:
-                flipped = True
-                if z_new == 0:
-                    d1 -= delta[j]
-                    d2 -= delta[j] * w[j]
-                else:
-                    d1 += delta[j]
-                    d2 += delta[j] * w[j]
-                z[j] = z_new
-        if not flipped:
-            # re-evaluate the closed form at the final assignment; the
-            # incremental pair can carry rounding from transient flips, and
-            # the additive lower + z*delta form avoids cancellation
-            u = lower + z * delta
-            return float((u * w).sum() / u.sum()), z
-    raise NumericalError("band-assignment sweep did not reach a fixed point")
-
-
 def sc_reduce(f: FiringInterval, w) -> ReducedInterval:
-    """Exact COS endpoints without sorting, via sign-driven sweeps."""
+    """Exact COS endpoints without sorting: a one-row ``sc_reduce_batch``."""
     lower, upper, w = _validated(f, w)
-    m = w.size
-    if m == 1:
-        one = np.ones(1, dtype=np.int8)
-        return ReducedInterval(float(w[0]), float(w[0]), one, one)
-    if not np.any(lower > 0.0):
-        return _degenerate_interval(upper, w)
-    y_l, z_l = _sc_endpoint(lower, upper, w, left=True)
-    y_r, z_r = _sc_endpoint(lower, upper, w, left=False)
-    return ReducedInterval(float(y_l), float(y_r), z_l, z_r)
+    y_l, y_r, z_l, z_r = sc_reduce_batch(lower[None], upper[None], w[None])
+    return ReducedInterval(float(y_l[0]), float(y_r[0]), z_l[0], z_r[0])
 
 
 def sc_reduce_batch(lower: np.ndarray, upper: np.ndarray, w: np.ndarray):
-    """Vectorized ``sc_reduce`` across rows.
+    """Exact COS endpoints for every row, via sign-driven sweeps.
 
     lower/upper/w are (n_samples, n_rules); returns (y_l, y_r, z_l, z_r).
-    Rows whose lower band is entirely zero take the degenerate
-    extreme-consequent path, matching the scalar routine.
+    Each endpoint starts from the all-upper assignment and sweeps the rule
+    indices, flipping band assignments until a fixed point.  The running
+    (d1, d2) always equal the denominator/numerator of the closed-form
+    output for the current assignment; a flip adjusts them by the rule's
+    band gap.  Ties (w[j] exactly equal to the current output) keep the
+    current assignment, which avoids oscillation.  Rows whose lower band is
+    entirely zero take the degenerate extreme-consequent path.
     """
     p, m = w.shape
     y_l = np.empty(p)
@@ -394,6 +342,9 @@ def sc_reduce_batch(lower: np.ndarray, upper: np.ndarray, w: np.ndarray):
                 break
         else:
             raise NumericalError("band-assignment sweep did not reach a fixed point")
+        # re-evaluate the closed form at the final assignment; the
+        # incremental pair can carry rounding from transient flips, and
+        # the additive lower + z*delta form avoids cancellation
         u = lo + z * delta
         ys[live] = (u * ww).sum(axis=1) / u.sum(axis=1)
         zs[live] = z

@@ -64,9 +64,10 @@ def test_identity_beta_encodes_identically(batch):
     np.testing.assert_allclose(ae_encode(ae, batch), batch, rtol=0, atol=0)
 
 
-def test_stack_rejects_empty_layer_list(batch):
-    with pytest.raises(ValueError, match="at least one layer"):
-        stack_train(batch, [], [], Rng(0))
+def test_stack_accepts_empty_layer_list(batch):
+    stack = stack_train(batch, [], [], Rng(0))
+    assert stack.layers == () and stack.layer_sizes == ()
+    assert stack_transform(stack, batch).tobytes() == batch.tobytes()
 
 
 def test_stack_rejects_mismatched_cs(batch):

@@ -125,6 +125,8 @@ def test_bench_table_schema(blob_manifest):
     assert rc == 0
     report = json.loads((tmp / "bench" / "bench.json").read_text())
     assert [row["model"] for row in report["rows"]] == ["elm", "ml-elm", "hml-elm"]
+    # elm is the stack-free pipeline: 36 raw features, 30 hidden nodes, 3 classes
+    assert [row["structure"] for row in report["rows"]] == [[36, 30, 3], [36, 10, 4, 3], [36, 10, 4, 3]]
     for row in report["rows"]:
         assert set(row) == BENCH_ROW_KEYS
         assert 0.0 <= row["test_accuracy"] <= 1.0
@@ -226,3 +228,31 @@ def test_unknown_config_key_is_usage_error(blob_manifest, capsys):
     rc = main(["train", "--config", str(cfg), "--data", manifest, "--out", str(tmp / "m.bin")])
     assert rc == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_malformed_config_values_are_usage_errors(blob_manifest, capsys):
+    tmp, manifest, _ = blob_manifest
+    cfg = tmp / "bad.json"
+    bad_configs = [
+        [1, 2],
+        {"layer_sizes": 5, "Cs": [1e3, 1e6]},
+        {"layer_sizes": "4", "Cs": [1e3, 1e6]},
+        {"layer_sizes": [4], "Cs": 1e3},
+        {"layer_sizes": [None], "Cs": [1e3, 1e6]},
+        {"layer_sizes": [4], "Cs": [1e3, 1e6], "seed": None},
+        {"layer_sizes": [4], "Cs": [1e3, 1e6], "head_size": None},
+    ]
+    for bad in bad_configs:
+        cfg.write_text(json.dumps(bad))
+        for seed in ([], ["--seed", "3"]):
+            rc = main(["train", "--config", str(cfg), "--data", manifest,
+                       "--out", str(tmp / "m.bin"), *seed])
+            assert rc == 2, bad
+            err = capsys.readouterr().err
+            assert "config" in err and "unknown config keys" not in err, (bad, err)
+        if isinstance(bad, dict) and "seed" in bad:
+            continue  # bench takes its seed from --seed, not from the config
+        rc = main(["bench", "--data", manifest, "--out", str(tmp / "bench"), "--config", str(cfg)])
+        assert rc == 2, bad
+        assert "config" in capsys.readouterr().err
+    assert not (tmp / "m.bin").exists()

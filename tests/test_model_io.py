@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from elmkit.model_io import load_model, save_model
+from elmkit.cli import main
+from elmkit.model_io import MAGIC, load_model, save_model
 from elmkit.numerics import Rng
 from elmkit.pipeline import PipelineConfig, hml_predict, hml_train
 
@@ -14,10 +17,18 @@ def blob_data(n_per_class=25, seed=900):
     return x, labels
 
 
-@pytest.mark.parametrize("head,head_size", [("sit2", 5), ("ridge", 1), ("elm", 9)])
-def test_round_trip_preserves_predictions(tmp_path, head, head_size):
+@pytest.mark.parametrize(
+    "layers,head,head_size",
+    [
+        pytest.param((4, 3), "sit2", 5, id="sit2-5"),
+        pytest.param((4, 3), "ridge", 1, id="ridge-1"),
+        pytest.param((4, 3), "elm", 9, id="elm-9"),
+        pytest.param((), "elm", 9, id="stack-free-elm-9"),
+    ],
+)
+def test_round_trip_preserves_predictions(tmp_path, layers, head, head_size):
     x, labels = blob_data()
-    cfg = PipelineConfig((4, 3), (10.0, 10.0, 1e4), head=head, head_size=head_size, seed=6)
+    cfg = PipelineConfig(layers, (10.0,) * len(layers) + (1e4,), head=head, head_size=head_size, seed=6)
     model = hml_train(x, labels, cfg)
     path = tmp_path / "model.bin"
     save_model(model, path)
@@ -71,3 +82,105 @@ def test_no_stray_temp_files(tmp_path):
     cfg = PipelineConfig((4,), (10.0, 1e4), head="ridge", seed=0)
     save_model(hml_train(x, labels, cfg), tmp_path / "model.bin")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin"]
+
+
+def split_file(raw: bytes):
+    """(header dict, payload bytes) of a saved model."""
+    n = int.from_bytes(raw[8:12], "little")
+    return json.loads(raw[12 : 12 + n]), raw[12 + n :]
+
+
+def join_file(header, payload: bytes) -> bytes:
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return MAGIC + len(blob).to_bytes(4, "little") + blob + payload
+
+
+def _edit_sections(edit):
+    """Corruption that applies ``edit`` to the header's section list in place."""
+
+    def corrupt(raw):
+        header, payload = split_file(raw)
+        edit(header["arrays"])
+        return join_file(header, payload)
+
+    return corrupt
+
+
+def _set(i, key, value):
+    """Corruption that sets field ``key`` of section i to ``value(sections)``."""
+    return _edit_sections(lambda sections: sections[i].__setitem__(key, value(sections)))
+
+
+def _drop_scaler_span(raw):
+    header, payload = split_file(raw)
+    section = next(s for s in header["arrays"] if s["name"] == "scaler.span")
+    start, stop = section["offset"], section["offset"] + section["nbytes"]
+    header["arrays"].remove(section)
+    for s in header["arrays"]:
+        if s["offset"] > start:
+            s["offset"] -= section["nbytes"]
+    return join_file(header, payload[:start] + payload[stop:])
+
+
+CORRUPTIONS = {
+    "magic-only": lambda raw: MAGIC,
+    "short-length": lambda raw: raw[:10],
+    "non-object-header": lambda raw: join_file([1, 2], b""),
+    "no-array-table": lambda raw: join_file({**split_file(raw)[0], "arrays": 3}, split_file(raw)[1]),
+    "overlapping-offset": _set(1, "offset", lambda sections: 0),
+    "gap-before-section": _set(1, "offset", lambda sections: sections[1]["offset"] + 8),
+    "sections-out-of-order": _edit_sections(lambda sections: sections.reverse()),
+    "nbytes-not-shape": _set(0, "nbytes", lambda sections: sections[0]["nbytes"] + 8),
+    "negative-dimension": _set(0, "shape", lambda sections: [-1, 0]),
+    "non-integer-dimension": _set(0, "shape", lambda sections: [1.5]),
+    "shape-not-a-list": _set(0, "shape", lambda sections: 4),
+    "section-not-an-object": _edit_sections(lambda sections: sections.__setitem__(0, 7)),
+    "unnamed-section": _set(0, "name", lambda sections: None),
+    "repeated-name": _set(1, "name", lambda sections: sections[0]["name"]),
+    "trailing-bytes": lambda raw: raw + bytes(8),
+    "missing-array": _drop_scaler_span,
+}
+
+
+@pytest.fixture
+def saved_model(tmp_path):
+    x, labels = blob_data(10)
+    cfg = PipelineConfig((4, 3), (10.0, 10.0, 1e4), head="sit2", head_size=4, seed=0)
+    path = tmp_path / "model.bin"
+    save_model(hml_train(x, labels, cfg), path)
+    lines = ["a,b,c,d,label"] + [",".join(map(str, row)) + f",{lbl}" for row, lbl in zip(x, labels)]
+    (tmp_path / "rows.csv").write_text("\n".join(lines) + "\n")
+    (tmp_path / "manifest.json").write_text(json.dumps({"type": "csv", "path": "rows.csv"}))
+    return path
+
+
+def eval_args(path):
+    manifest = path.parent / "manifest.json"
+    return ["eval", "--model", str(path), "--data", str(manifest), "--out", str(path.parent / "eval")]
+
+
+def test_intact_file_loads_and_evaluates(saved_model):
+    raw = saved_model.read_bytes()
+    assert join_file(*split_file(raw)) == raw  # the helpers rebuild the writer's bytes
+    assert load_model(saved_model).n_classes == 3
+    assert main(eval_args(saved_model)) == 0
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_corrupt_file_is_a_value_error_and_eval_exits_2(saved_model, name, capsys):
+    saved_model.write_bytes(CORRUPTIONS[name](saved_model.read_bytes()))
+    with pytest.raises(ValueError):
+        load_model(saved_model)
+    assert main(eval_args(saved_model)) == 2
+    assert str(saved_model) in capsys.readouterr().err
+
+
+def test_truncated_file_is_a_value_error(saved_model):
+    raw = saved_model.read_bytes()
+    header_end = 12 + int.from_bytes(raw[8:12], "little")
+    lengths = {0, 4, 8, 11, 12, 40, header_end - 1, header_end, header_end + 5, len(raw) - 8, len(raw) - 1}
+    lengths |= set(range(header_end, len(raw), max(1, (len(raw) - header_end) // 17)))
+    for n in sorted(lengths):
+        saved_model.write_bytes(raw[:n])
+        with pytest.raises(ValueError):
+            load_model(saved_model)

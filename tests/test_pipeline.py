@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from elmkit.elm import predict_labels
+from elmkit.elm import elm_predict, elm_train, predict_labels
 from elmkit.numerics import Rng, ridge_solve
 from elmkit.pipeline import (
     FeatureScaler,
@@ -23,8 +23,7 @@ def blob_data(n_per_class=30, n_features=6, n_classes=3, seed=500):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="at least one"):
-        PipelineConfig((), (1.0,))
+    assert PipelineConfig((), (1.0,)).layer_sizes == ()  # a head on scaled raw features
     with pytest.raises(ValueError, match="ridge constants"):
         PipelineConfig((4,), (1.0,))
     with pytest.raises(ValueError, match="positive"):
@@ -123,6 +122,18 @@ def test_predict_composition_matches_head_on_features():
     model = hml_train(x, labels, cfg)
     feats = stack_transform(model.stack, model.scaler.transform(x))
     np.testing.assert_array_equal(hml_predict(model, x), _head_predict(model.head, feats))
+
+
+def test_stack_free_elm_is_the_hand_built_baseline():
+    x, labels = blob_data(20)
+    cfg = PipelineConfig((), (1e4,), head="elm", head_size=25, seed=3)
+    model = hml_train(x, labels, cfg)
+    scaler = FeatureScaler.fit(x)
+    hand = elm_train(scaler.transform(x), one_hot(labels, 3), 25, 1e4, Rng(3).split(1))
+    assert model.stack.layers == () and model.n_features == x.shape[1]
+    for name in ("input_weights", "biases", "output_weights"):
+        assert getattr(model.head, name).tobytes() == getattr(hand, name).tobytes()
+    assert hml_predict(model, x).tobytes() == elm_predict(hand, scaler.transform(x)).tobytes()
 
 
 def test_single_class_labels_rejected():

@@ -59,13 +59,17 @@ def test_hand_computed_single_rule_rescale():
     assert f.upper[0] == pytest.approx(1.0, abs=1e-15)
     assert f.lower[0] == pytest.approx(math.exp(-0.5 + 0.125), abs=1e-12)
     assert f.lower[0] == pytest.approx(0.68729, abs=5e-6)
-    assert f.scale_log == pytest.approx(-0.125)
+    _, _, shifts = firing_batch(rules, [[1.0]])
+    assert shifts[0] == pytest.approx(-0.125)
 
 
 def test_firing_rejects_bad_input():
     rules = It2RuleBase(np.array([[0.0, 0.0]]), [1.0], [1.0])
     with pytest.raises(ValueError, match="values"):
         firing_strengths(rules, [1.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            firing_strengths(rules, [0.0, bad])
 
 
 def test_rule_base_validates_width_order():
@@ -75,16 +79,28 @@ def test_rule_base_validates_width_order():
         It2RuleBase(np.zeros((1, 1)), [0.0], [1.0])
 
 
+def reference_firing(rules, x):
+    """Per-vector firing formula, written independently of ``firing_batch``."""
+    d2 = ((x[None, :] - rules.centers) ** 2).sum(axis=1)
+    log_upper = -d2 / (2.0 * rules.sigma_upper**2)
+    log_lower = -d2 / (2.0 * rules.sigma_lower**2)
+    shift = float(log_upper.max())
+    return np.exp(log_lower - shift), np.exp(log_upper - shift), shift
+
+
 def test_firing_batch_matches_scalar_exactly():
     gen = Rng(5).generator()
     rules = It2RuleBase(gen.uniform(0, 1, (7, 4)), gen.uniform(0.2, 0.5, 7), gen.uniform(0.5, 1.0, 7))
     x = gen.uniform(0, 1, (20, 4))
     lower, upper, shifts = firing_batch(rules, x)
     for p in range(20):
+        ref_lower, ref_upper, ref_shift = reference_firing(rules, x[p])
+        assert ref_lower.tobytes() == lower[p].tobytes()
+        assert ref_upper.tobytes() == upper[p].tobytes()
+        assert ref_shift == shifts[p]
         f = firing_strengths(rules, x[p])
         assert f.lower.tobytes() == lower[p].tobytes()
         assert f.upper.tobytes() == upper[p].tobytes()
-        assert f.scale_log == shifts[p]
 
 
 # --------------------------------------------------------------------------
@@ -277,21 +293,81 @@ def test_sc_matches_oracle_property(data):
 # batch path
 
 
-def test_batch_sc_matches_scalar_bitwise():
-    gen = Rng(404).generator()
-    rows = []
-    for _ in range(64):
-        f, w = random_instance(gen, 9)
-        rows.append((f.lower, f.upper, w))
-    lower = np.array([r[0] for r in rows])
-    upper = np.array([r[1] for r in rows])
-    w = np.array([r[2] for r in rows])
+def reference_sc_endpoint(lower, upper, w, left):
+    """One SC endpoint by the original per-row loop, for pinning the batch sweep."""
+    m = w.size
+    delta = upper - lower
+    z = np.ones(m, dtype=np.int8)
+    d1 = float(upper.sum())
+    d2 = float((upper * w).sum())
+    for _ in range(m + 2):
+        flipped = False
+        for j in range(m):
+            a = w[j] * d1 - d2
+            if a == 0.0:
+                continue
+            z_new = (1 if a < 0.0 else 0) if left else (1 if a > 0.0 else 0)
+            if z_new != z[j]:
+                flipped = True
+                if z_new == 0:
+                    d1 -= delta[j]
+                    d2 -= delta[j] * w[j]
+                else:
+                    d1 += delta[j]
+                    d2 += delta[j] * w[j]
+                z[j] = z_new
+        if not flipped:
+            u = lower + z * delta
+            return float((u * w).sum() / u.sum()), z
+    raise AssertionError("reference sweep did not reach a fixed point")
+
+
+def reference_sc(lower, upper, w):
+    """(y_l, y_r, z_l, z_r) of one row; an all-zero lower band fires one extreme rule."""
+    if not np.any(lower > 0.0):
+        active = np.flatnonzero(upper > 0.0)
+        j_min, j_max = active[np.argmin(w[active])], active[np.argmax(w[active])]
+        z_l, z_r = np.zeros(w.size, dtype=np.int8), np.zeros(w.size, dtype=np.int8)
+        z_l[j_min] = z_r[j_max] = 1
+        return float(w[j_min]), float(w[j_max]), z_l, z_r
+    y_l, z_l = reference_sc_endpoint(lower, upper, w, left=True)
+    y_r, z_r = reference_sc_endpoint(lower, upper, w, left=False)
+    return y_l, y_r, z_l, z_r
+
+
+def batch_rows(seed, n_rows, n_rules):
+    gen = Rng(seed).generator()
+    rows = [random_instance(gen, n_rules) for _ in range(n_rows)]
+    lower = np.array([f.lower for f, _ in rows])
+    upper = np.array([f.upper for f, _ in rows])
+    return lower, upper, np.array([w for _, w in rows])
+
+
+def assert_rows_match_reference(lower, upper, w):
     y_l, y_r, z_l, z_r = sc_reduce_batch(lower, upper, w)
-    for i in range(64):
+    for i in range(w.shape[0]):
+        ref = reference_sc(lower[i], upper[i], w[i])
+        assert (y_l[i], y_r[i]) == ref[:2], i
+        assert np.array_equal(z_l[i], ref[2]) and np.array_equal(z_r[i], ref[3]), i
+        # the same row reduced alone, through the one-row view
         r = sc_reduce(FiringInterval(lower[i], upper[i]), w[i])
-        assert y_l[i] == r.y_l and y_r[i] == r.y_r
-        assert np.array_equal(z_l[i], r.z_l)
-        assert np.array_equal(z_r[i], r.z_r)
+        assert (r.y_l, r.y_r) == ref[:2], i
+        assert np.array_equal(r.z_l, ref[2]) and np.array_equal(r.z_r, ref[3]), i
+
+
+def test_batch_sc_matches_scalar_bitwise():
+    lower, upper, w = batch_rows(404, 64, 9)
+    lower[5] = 0.0  # one row on the all-lower-zero path among live rows
+    assert_rows_match_reference(lower, upper, w)
+
+
+def test_batch_sc_one_rule_matches_reference():
+    lower, upper, w = batch_rows(405, 6, 1)
+    lower[0] = 0.0
+    assert_rows_match_reference(lower, upper, w)
+    y_l, y_r, _, _ = sc_reduce_batch(lower, upper, w)
+    np.testing.assert_allclose(y_l, w[:, 0], rtol=1e-15)
+    np.testing.assert_allclose(y_r, w[:, 0], rtol=1e-15)
 
 
 def test_batch_sc_empty():
