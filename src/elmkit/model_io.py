@@ -26,6 +26,12 @@ MAGIC = b"ELMKITM\x01"
 FORMAT_VERSION = 1
 # per-layer header fields, in Autoencoder constructor order after beta
 LAYER_FIELDS = ("mode", "activation", "c", "reconstruction_error", "beta_orthogonality_gap")
+# the arrays each head type reads, besides the scaler's and one per layer
+HEAD_ARRAYS = {
+    "sit2": ("head.centers", "head.sigma_lower", "head.sigma_upper", "head.consequents"),
+    "elm": ("head.input_weights", "head.biases", "head.output_weights"),
+    "ridge": ("head.weights",),
+}
 
 
 def _array_bytes(a: np.ndarray) -> bytes:
@@ -71,9 +77,7 @@ def _restore_head(meta, arrays):
             arrays["head.output_weights"],
             meta["activation"],
         )
-    if meta["type"] == "ridge":
-        return arrays["head.weights"]
-    raise ValueError(f"unknown head type {meta['type']!r}")
+    return arrays["head.weights"]
 
 
 def save_model(model: HmlModel, path) -> None:
@@ -133,7 +137,8 @@ def _read_arrays(sections, payload: memoryview, path) -> dict:
         if not isinstance(section, dict):
             raise ValueError(f"{path}: array section {section!r} is not a JSON object")
         name, shape = section.get("name"), section.get("shape")
-        if not (isinstance(shape, list) and all(isinstance(d, int) and d >= 0 for d in shape)):
+        # type(d) is int: JSON true/false would pass isinstance(d, int)
+        if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
             raise ValueError(f"{path}: array {name!r} has a malformed shape {shape!r}")
         if not isinstance(name, str) or name in arrays:
             raise ValueError(f"{path}: array name {name!r} is missing or repeated")
@@ -158,13 +163,24 @@ def load_model(path) -> HmlModel:
     header_end = 12 + int.from_bytes(data[8:12], "little")
     if len(data) < header_end:
         raise ValueError(f"{path}: truncated header")
-    header = json.loads(data[12:header_end].decode())
+    try:
+        header = json.loads(data[12:header_end].decode())
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError both are
+        raise ValueError(f"{path}: header is not valid JSON: {e}") from None
     if not isinstance(header, dict):
         raise ValueError(f"{path}: header is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported model format version {header.get('format_version')}")
     arrays = _read_arrays(header.get("arrays"), memoryview(data)[header_end:], path)
     try:
+        head_type = header["head"]["type"]
+        if head_type not in HEAD_ARRAYS:
+            raise ValueError(f"{path}: unknown head type {head_type!r}")
+        expected = {"scaler.offset", "scaler.span", *HEAD_ARRAYS[head_type]}
+        expected.update(f"stack.{i}.beta" for i in range(len(header["stack_layers"])))
+        unread = sorted(set(arrays) - expected)
+        if unread:
+            raise ValueError(f"{path}: arrays {unread} are not read by a {head_type} model")
         scaler = FeatureScaler(arrays["scaler.offset"], arrays["scaler.span"])
         layers = [
             Autoencoder(arrays[f"stack.{i}.beta"], *(meta[k] for k in LAYER_FIELDS))

@@ -9,6 +9,7 @@ stack.  Feature scaling to [0, 1] is frozen from the training split.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, replace
 from typing import Union
@@ -23,6 +24,13 @@ from .sit2 import Sit2Model, sit2_predict, sit2_train
 HEADS = ("sit2", "ridge", "elm")
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; a bool or a non-integral number is a ValueError, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"config {what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     layer_sizes: tuple[int, ...]  # autoencoder widths, input width excluded; () for none
@@ -32,8 +40,10 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_sizes", tuple(int(m) for m in self.layer_sizes))
+        object.__setattr__(self, "layer_sizes", tuple(_integer(m, "layer width") for m in self.layer_sizes))
         object.__setattr__(self, "cs", tuple(float(c) for c in self.cs))
+        object.__setattr__(self, "head_size", _integer(self.head_size, "head_size"))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if any(m < 1 for m in self.layer_sizes):
             raise ValueError("layer widths must be >= 1")
         if len(self.cs) != len(self.layer_sizes) + 1:
@@ -74,8 +84,8 @@ class PipelineConfig:
                 layer_sizes=tuple(d["layer_sizes"]),
                 cs=tuple(d["Cs"]),
                 head=d.get("head", "sit2"),
-                head_size=int(d.get("head_size", 40)),
-                seed=int(d.get("seed", 0)),
+                head_size=d.get("head_size", 40),
+                seed=d.get("seed", 0),
             )
         except TypeError as e:
             raise ValueError(f"malformed config: {e}") from None

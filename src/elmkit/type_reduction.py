@@ -300,6 +300,11 @@ def sc_reduce_batch(lower: np.ndarray, upper: np.ndarray, w: np.ndarray):
     band gap.  Ties (w[j] exactly equal to the current output) keep the
     current assignment, which avoids oscillation.  Rows whose lower band is
     entirely zero take the degenerate extreme-consequent path.
+
+    The sweep runs on rule-major copies, so step j reads contiguous rows,
+    and updates every row densely: a row that does not flip adds a step of
+    +0.0, which leaves d1 and d2 bit for bit as they were, so each row sees
+    the same operations as a per-row loop.
     """
     p, m = w.shape
     y_l = np.empty(p)
@@ -319,25 +324,41 @@ def sc_reduce_batch(lower: np.ndarray, upper: np.ndarray, w: np.ndarray):
         return y_l, y_r, z_l, z_r
     lo, up, ww = lower[live], upper[live], w[live]
     delta = up - lo
+    delta_t = np.ascontiguousarray(delta.T)
+    w_t = np.ascontiguousarray(ww.T)
+    n = live.size
+    a = np.empty(n)
+    neg = np.empty(n, dtype=bool)
+    pos = np.empty(n, dtype=bool)
+    to_upper = np.empty(n, dtype=bool)
+    to_lower = np.empty(n, dtype=bool)
+    flip = np.empty(n, dtype=bool)
+    step = np.empty(n)
     for left, ys, zs in ((True, y_l, z_l), (False, y_r, z_r)):
-        z = np.ones((live.size, m), dtype=np.int8)
+        z_t = np.ones((m, n), dtype=bool)
         d1 = up.sum(axis=1)
         d2 = (up * ww).sum(axis=1)
+        # y_l moves a rule to its upper band when w[j] lies below the
+        # current output (a < 0), y_r when it lies above; a == 0 keeps it
+        up_when, down_when = (neg, pos) if left else (pos, neg)
         for _ in range(m + 2):
             any_flip = False
             for j in range(m):
-                a = ww[:, j] * d1 - d2
-                if left:
-                    z_new = np.where(a < 0.0, 1, np.where(a > 0.0, 0, z[:, j]))
-                else:
-                    z_new = np.where(a > 0.0, 1, np.where(a < 0.0, 0, z[:, j]))
-                flip = z_new != z[:, j]
+                np.multiply(w_t[j], d1, out=a)
+                np.subtract(a, d2, out=a)
+                np.less(a, 0.0, out=neg)
+                np.greater(a, 0.0, out=pos)
+                np.greater(up_when, z_t[j], out=to_upper)  # up_when and not z
+                np.logical_and(down_when, z_t[j], out=to_lower)
+                np.logical_or(to_upper, to_lower, out=flip)
                 if flip.any():
                     any_flip = True
-                    sign = np.where(z_new[flip] == 1, 1.0, -1.0)
-                    d1[flip] += sign * delta[flip, j]
-                    d2[flip] += sign * delta[flip, j] * ww[flip, j]
-                    z[flip, j] = z_new[flip]
+                    np.subtract(to_upper, to_lower, out=step, dtype=np.float64)
+                    np.multiply(step, delta_t[j], out=step)
+                    d1 += step
+                    np.multiply(step, w_t[j], out=step)
+                    d2 += step
+                    z_t[j] ^= flip
             if not any_flip:
                 break
         else:
@@ -345,6 +366,7 @@ def sc_reduce_batch(lower: np.ndarray, upper: np.ndarray, w: np.ndarray):
         # re-evaluate the closed form at the final assignment; the
         # incremental pair can carry rounding from transient flips, and
         # the additive lower + z*delta form avoids cancellation
+        z = np.ascontiguousarray(z_t.T)
         u = lo + z * delta
         ys[live] = (u * ww).sum(axis=1) / u.sum(axis=1)
         zs[live] = z

@@ -241,6 +241,13 @@ def test_malformed_config_values_are_usage_errors(blob_manifest, capsys):
         {"layer_sizes": [None], "Cs": [1e3, 1e6]},
         {"layer_sizes": [4], "Cs": [1e3, 1e6], "seed": None},
         {"layer_sizes": [4], "Cs": [1e3, 1e6], "head_size": None},
+        # non-integral or boolean integers are refused, not truncated
+        {"layer_sizes": [2.7], "Cs": [1, 1], "head_size": 3.9, "seed": True},
+        {"layer_sizes": [2.7], "Cs": [1, 1]},
+        {"layer_sizes": [True], "Cs": [1, 1]},
+        {"layer_sizes": [4], "Cs": [1, 1], "head_size": 3.9},
+        {"layer_sizes": [4], "Cs": [1, 1], "head_size": False},
+        {"layer_sizes": [4], "Cs": [1, 1], "seed": 1.5},
     ]
     for bad in bad_configs:
         cfg.write_text(json.dumps(bad))

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elmkit.cli import main
 from elmkit.model_io import MAGIC, load_model, save_model
@@ -122,6 +124,17 @@ def _drop_scaler_span(raw):
     return join_file(header, payload[:start] + payload[stop:])
 
 
+def _add_unread_array(raw):
+    header, payload = split_file(raw)
+    header["arrays"].append({"name": "head.extra", "shape": [1], "offset": len(payload), "nbytes": 8})
+    return join_file(header, payload + bytes(8))
+
+
+def _bad_header(blob: bytes):
+    """Corruption that replaces the whole file with a header of raw bytes ``blob``."""
+    return lambda raw: MAGIC + len(blob).to_bytes(4, "little") + blob
+
+
 CORRUPTIONS = {
     "magic-only": lambda raw: MAGIC,
     "short-length": lambda raw: raw[:10],
@@ -139,6 +152,13 @@ CORRUPTIONS = {
     "repeated-name": _set(1, "name", lambda sections: sections[0]["name"]),
     "trailing-bytes": lambda raw: raw + bytes(8),
     "missing-array": _drop_scaler_span,
+    "header-not-json": _bad_header(b"{x}"),
+    "header-not-utf8": _bad_header(b'{"a":"\xff"}'),
+    "unread-array": _add_unread_array,
+    # true == 1, so the section still tiles the payload
+    "boolean-dimension": _edit_sections(
+        lambda sections: next(s for s in sections if s["name"] == "scaler.offset")["shape"].append(True)
+    ),
 }
 
 
@@ -184,3 +204,55 @@ def test_truncated_file_is_a_value_error(saved_model):
         saved_model.write_bytes(raw[:n])
         with pytest.raises(ValueError):
             load_model(saved_model)
+
+
+@pytest.mark.parametrize(
+    "name,message",
+    [
+        ("header-not-json", "header is not valid JSON"),
+        ("header-not-utf8", "header is not valid JSON"),
+        ("unread-array", r"arrays \['head.extra'\] are not read by a sit2 model"),
+        ("boolean-dimension", "malformed shape"),
+    ],
+)
+def test_header_faults_name_the_file_and_the_fault(saved_model, name, message):
+    saved_model.write_bytes(CORRUPTIONS[name](saved_model.read_bytes()))
+    with pytest.raises(ValueError, match=message) as info:
+        load_model(saved_model)
+    assert str(info.value).startswith(f"{saved_model}: ")
+
+
+@pytest.fixture(scope="module")
+def fuzz_model(tmp_path_factory):
+    """(path, bytes, rows) of a small saved (4, 3) sit2 model."""
+    x, labels = blob_data(10)
+    cfg = PipelineConfig((4, 3), (10.0, 10.0, 1e4), head="sit2", head_size=4, seed=0)
+    path = tmp_path_factory.mktemp("fuzz") / "model.bin"
+    save_model(hml_train(x, labels, cfg), path)
+    return path, path.read_bytes(), x
+
+
+# bytes that keep a mutated header JSON-like more often than a uniform byte
+_JSON_BYTES = st.sampled_from(list(b'0123456789-.eE[]{}",:tfn '))
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_mutated_or_truncated_file_loads_or_is_a_value_error(fuzz_model, data):
+    path, raw, x = fuzz_model
+    header_end = 12 + int.from_bytes(raw[8:12], "little")
+    anywhere = st.integers(0, len(raw) - 1)
+    in_header = st.integers(12, header_end - 1)
+    edits = data.draw(
+        st.lists(st.tuples(st.one_of(in_header, anywhere), st.one_of(_JSON_BYTES, st.integers(0, 255))), max_size=4)
+    )
+    mutated = bytearray(raw)
+    for i, b in edits:
+        mutated[i] = b
+    length = data.draw(st.one_of(st.just(len(raw)), st.integers(0, len(raw))))
+    path.write_bytes(bytes(mutated[:length]))
+    try:
+        scores = hml_predict(load_model(path), x)
+    except ValueError:
+        return
+    assert scores.shape == (x.shape[0], 3)

@@ -32,6 +32,20 @@ def test_config_validation():
         PipelineConfig((4,), (1.0, 1.0), head="cnn")
 
 
+def test_config_integers_are_not_truncated():
+    cfg = PipelineConfig((np.int64(8),), (1.0, 1.0), head_size=np.int32(5), seed=np.uint8(2))
+    assert (cfg.layer_sizes, cfg.head_size, cfg.seed) == ((8,), 5, 2)
+    assert all(type(v) is int for v in (*cfg.layer_sizes, cfg.head_size, cfg.seed))
+    bad = {"layer_sizes": [2.7], "Cs": [1, 1], "head_size": 3.9, "seed": True}
+    with pytest.raises(ValueError, match="must be an integer"):
+        PipelineConfig.from_dict(bad)
+    for key, value in (("layer_sizes", (True,)), ("layer_sizes", (4.0,)), ("head_size", 3.9),
+                       ("head_size", False), ("seed", True), ("seed", np.float64(1.0))):
+        kwargs = {"layer_sizes": (4,), "cs": (1.0, 1.0), key: value}
+        with pytest.raises(ValueError, match="must be an integer"):
+            PipelineConfig(**kwargs)
+
+
 def test_config_round_trips_through_dict():
     cfg = PipelineConfig((8, 4), (0.1, 10.0, 1e6), head="elm", head_size=16, seed=3)
     assert PipelineConfig.from_dict(cfg.to_dict()) == cfg

@@ -293,14 +293,17 @@ def test_sc_matches_oracle_property(data):
 # batch path
 
 
-def reference_sc_endpoint(lower, upper, w, left):
-    """One SC endpoint by the original per-row loop, for pinning the batch sweep."""
+def reference_sc_endpoint(lower, upper, w, left, passes=None):
+    """One SC endpoint by the original per-row loop, for pinning the batch sweep.
+
+    ``passes``, a list if given, receives the number of sweeps the row took.
+    """
     m = w.size
     delta = upper - lower
     z = np.ones(m, dtype=np.int8)
     d1 = float(upper.sum())
     d2 = float((upper * w).sum())
-    for _ in range(m + 2):
+    for n_pass in range(1, m + 3):
         flipped = False
         for j in range(m):
             a = w[j] * d1 - d2
@@ -317,12 +320,14 @@ def reference_sc_endpoint(lower, upper, w, left):
                     d2 += delta[j] * w[j]
                 z[j] = z_new
         if not flipped:
+            if passes is not None:
+                passes.append(n_pass)
             u = lower + z * delta
             return float((u * w).sum() / u.sum()), z
     raise AssertionError("reference sweep did not reach a fixed point")
 
 
-def reference_sc(lower, upper, w):
+def reference_sc(lower, upper, w, passes=None):
     """(y_l, y_r, z_l, z_r) of one row; an all-zero lower band fires one extreme rule."""
     if not np.any(lower > 0.0):
         active = np.flatnonzero(upper > 0.0)
@@ -330,8 +335,8 @@ def reference_sc(lower, upper, w):
         z_l, z_r = np.zeros(w.size, dtype=np.int8), np.zeros(w.size, dtype=np.int8)
         z_l[j_min] = z_r[j_max] = 1
         return float(w[j_min]), float(w[j_max]), z_l, z_r
-    y_l, z_l = reference_sc_endpoint(lower, upper, w, left=True)
-    y_r, z_r = reference_sc_endpoint(lower, upper, w, left=False)
+    y_l, z_l = reference_sc_endpoint(lower, upper, w, True, passes)
+    y_r, z_r = reference_sc_endpoint(lower, upper, w, False, passes)
     return y_l, y_r, z_l, z_r
 
 
@@ -343,16 +348,26 @@ def batch_rows(seed, n_rows, n_rules):
     return lower, upper, np.array([w for _, w in rows])
 
 
+def assert_batch_matches_reference(lower, upper, w):
+    """Bitwise batch-vs-reference pin; returns the sweep count of every live endpoint."""
+    y_l, y_r, z_l, z_r = sc_reduce_batch(lower, upper, w)
+    passes = []
+    for i in range(w.shape[0]):
+        ref = reference_sc(lower[i], upper[i], w[i], passes)
+        assert y_l[i].tobytes() == np.float64(ref[0]).tobytes(), i
+        assert y_r[i].tobytes() == np.float64(ref[1]).tobytes(), i
+        assert np.array_equal(z_l[i], ref[2]) and np.array_equal(z_r[i], ref[3]), i
+    return passes
+
+
 def assert_rows_match_reference(lower, upper, w):
+    assert_batch_matches_reference(lower, upper, w)
     y_l, y_r, z_l, z_r = sc_reduce_batch(lower, upper, w)
     for i in range(w.shape[0]):
-        ref = reference_sc(lower[i], upper[i], w[i])
-        assert (y_l[i], y_r[i]) == ref[:2], i
-        assert np.array_equal(z_l[i], ref[2]) and np.array_equal(z_r[i], ref[3]), i
         # the same row reduced alone, through the one-row view
         r = sc_reduce(FiringInterval(lower[i], upper[i]), w[i])
-        assert (r.y_l, r.y_r) == ref[:2], i
-        assert np.array_equal(r.z_l, ref[2]) and np.array_equal(r.z_r, ref[3]), i
+        assert (r.y_l, r.y_r) == (y_l[i], y_r[i]), i
+        assert np.array_equal(r.z_l, z_l[i]) and np.array_equal(r.z_r, z_r[i]), i
 
 
 def test_batch_sc_matches_scalar_bitwise():
@@ -373,3 +388,50 @@ def test_batch_sc_one_rule_matches_reference():
 def test_batch_sc_empty():
     y_l, y_r, z_l, z_r = sc_reduce_batch(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3)))
     assert y_l.shape == (0,) and z_r.shape == (0, 3)
+
+
+def head_scale_rows(seed, n_rows, n_inputs=300, n_rules=60, width_scale=(0.15, 0.45)):
+    """Firings of a head-sized rule base on wide features, with linear consequents.
+
+    Rules are drawn the way ``sit2_train`` draws them (widths grow with
+    sqrt(n_inputs)), with a narrower ``width_scale_range`` than its default
+    so that some rows need a fourth sweep; consequents are per-rule linear
+    functions of the bias-extended input, as ``_consequent_values`` forms
+    them.
+    """
+    gen = Rng(seed).generator()
+    x = gen.uniform(0.0, 1.0, (n_rows, n_inputs))
+    half_span = 0.5 * math.sqrt(n_inputs)
+    sigma_upper = gen.uniform(width_scale[0] * half_span, width_scale[1] * half_span, n_rules)
+    sigma_lower = gen.uniform(0.6, 0.95, n_rules) * sigma_upper
+    rules = It2RuleBase(gen.uniform(0.0, 1.0, (n_rules, n_inputs)), sigma_lower, sigma_upper)
+    lower, upper, _ = firing_batch(rules, x)
+    q = gen.normal(0.0, 5.0, (n_rules, n_inputs + 1))
+    w = np.hstack([np.ones((n_rows, 1)), x]) @ q.T
+    return lower, upper, w
+
+
+
+def test_batch_sc_matches_reference_at_head_scale():
+    lower, upper, w = head_scale_rows(406, 240)
+    passes = assert_batch_matches_reference(lower, upper, w)
+    # rows settle after different numbers of sweeps, so the dense update
+    # runs with rows that have stopped flipping beside rows that have not
+    assert {2, 3, 4} <= set(passes), sorted(set(passes))
+
+
+def test_batch_sc_matches_reference_on_ties_and_degenerate_rows():
+    lower, upper, w = head_scale_rows(407, 90)
+    gen = Rng(408).generator()
+    # all-equal consequents: 0 and 2 make every a = w * d1 - d2 an exact
+    # tie (scaling by a power of two is exact); with 0.3, rounding decides
+    # the sign of a near-zero a
+    w[0:5] = 0.0
+    w[5:10] = 2.0
+    w[10:15] = 0.3
+    # duplicated consequent values across the rules of a row
+    w[15:45] = gen.choice([-1.0, 0.5, 0.5, 3.0], size=(30, w.shape[1]))
+    # all-lower-zero rows among live ones, with and without tied consequents
+    lower[[3, 20, 50, 51, 89]] = 0.0
+    passes = assert_batch_matches_reference(lower, upper, w)
+    assert len(passes) == 2 * (w.shape[0] - 5)
