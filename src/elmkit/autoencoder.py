@@ -2,10 +2,10 @@
 
 A layer whose width differs from its input learns a ridge-regularized
 reconstruction through a random orthonormal projection and encodes through
-a sigmoid.  A layer of equal width takes the exact inverse path instead: a
-bias-free linear projection whose recovered weights are (for full-rank
-data) the transpose of the random rotation, which keeps the round trip
-lossless.  Stacking feeds each layer the encoding of the previous one.
+a sigmoid.  A layer of equal width is a bias-free linear rotation whose
+weights are the transpose of its random rotation; nothing is solved, so
+the round trip is lossless for any input.  Stacking feeds each layer the
+encoding of the previous one.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elm import sigmoid
-from .numerics import Rng, as_matrix, orthonormal_random, pseudo_inverse, ridge_solve, unit_row
+from .numerics import Rng, as_matrix, orthonormal_random, ridge_solve, unit_row
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,7 @@ class Autoencoder:
     activation: str  # linear for equal width, sigmoid otherwise
     c: float
     reconstruction_error: float  # relative Frobenius error on the training batch
-    beta_orthogonality_gap: float  # max |beta' beta - I|; diagnostic, not enforced
+    beta_orthogonality_gap: float  # max |beta' beta - I|; rounding-level for equal width
 
     @property
     def n_inputs(self) -> int:
@@ -41,9 +41,9 @@ def ae_train(x, n_hidden: int, c: float, rng: Rng) -> Autoencoder:
 
     Width != input: h = sigmoid(x a + b) with column-orthonormal a and a
     unit-norm bias row, beta solved by ridge against x.  Width == input:
-    h = x a with square orthogonal a (no bias, no squashing) and beta
-    recovered through the pseudo-inverse, so h @ beta reproduces x exactly
-    whenever x has full column rank.
+    h = x a with square orthogonal a (no bias, no squashing) and beta = a',
+    which is the paper's pinv(h) x for full-column-rank x and encodes the
+    training rows identically for any x; ``c`` is recorded but unused.
     """
     x = as_matrix(x, "x")
     if n_hidden < 1:
@@ -51,8 +51,8 @@ def ae_train(x, n_hidden: int, c: float, rng: Rng) -> Autoencoder:
     n_in = x.shape[1]
     if n_hidden == n_in:
         a = orthonormal_random(n_in, n_in, rng.split(0))
-        h = x @ a
-        beta = pseudo_inverse(h) @ x
+        h = x @ a  # only for the diagnostics below
+        beta = np.ascontiguousarray(a.T)
         mode, activation = "equal", "linear"
     else:
         if n_hidden < n_in:

@@ -1,8 +1,9 @@
 """Seeded random streams and the dense linear-algebra kernels shared by all models.
 
 Every training routine in the package reduces to a handful of primitives:
-a regularized least-squares solve, a Moore-Penrose inverse, and random
-orthonormal projections drawn from a reproducible counter-based stream.
+a regularized least-squares solve and random orthonormal projections
+drawn from a reproducible counter-based stream; a Moore-Penrose inverse
+is kept beside them for library use.
 They live here so their numerical behaviour is pinned down in one place.
 """
 
@@ -135,18 +136,8 @@ def ridge_solve(h: np.ndarray, t: np.ndarray, c: float) -> np.ndarray:
 
 
 def pseudo_inverse(h: np.ndarray) -> np.ndarray:
-    """Moore-Penrose inverse through the least-squares identities.
-
-    Full-rank input resolves exactly ((h'h)^{-1}h' or h'(hh')^{-1}); an
-    exactly singular input falls back to a heavily ridged solve (c = 1e12),
-    trading the unreachable exact inverse for a bounded approximation.
-    """
-    h = as_matrix(h, "h")
-    eye = np.eye(h.shape[0])
-    try:
-        return ridge_solve(h, eye, math.inf)
-    except NumericalError:
-        return ridge_solve(h, eye, 1e12)
+    """Moore-Penrose inverse by SVD, for any shape and rank."""
+    return scipy.linalg.pinv(as_matrix(h, "h"))
 
 
 def orthonormal_random(rows: int, cols: int, rng: Rng) -> np.ndarray:

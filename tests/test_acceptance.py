@@ -9,19 +9,23 @@ import gzip
 import json
 import os
 import shutil
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import elmkit
 from elmkit.cli import main as cli_main
 from elmkit.cli import run_reducer_suite
-from elmkit.data import load_idx
+from elmkit.data import load_idx, split_train_test
 from elmkit.elm import predict_labels
 from elmkit.metrics import active_classify, simulate_streams
 from elmkit.numerics import Rng, orthonormal_random, ridge_solve
 from elmkit.autoencoder import ae_train
 from elmkit.pipeline import PipelineConfig, hml_predict, hml_train, one_hot
+from elmkit.shapes import synth_shape_dataset
 from elmkit.sit2 import _with_bias, sit2_predict, sit2_train
 from elmkit.type_reduction import (
     FiringInterval,
@@ -31,6 +35,8 @@ from elmkit.type_reduction import (
     nt_defuzz,
     sc_reduce,
 )
+
+from conftest import SHAPES_CONFIG
 
 MNIST_FILES = (
     "train-images-idx3-ubyte",
@@ -308,3 +314,53 @@ def test_training_is_byte_deterministic(tmp_path):
     same = open(out1, "rb").read() == open(out2, "rb").read()
     verdict("byte-deterministic training", same, "two seeded runs produced identical model files")
     assert same
+
+
+# Train on saved patches and save what the thread-count test compares; run
+# in a fresh interpreter because OpenBLAS reads its thread count at load.
+_TRAIN_AND_SAVE = """
+import json, sys
+import numpy as np
+from elmkit.elm import predict_labels
+from elmkit.pipeline import PipelineConfig, hml_predict, hml_train
+
+data, config, out = sys.argv[1:]
+d = np.load(data)
+model = hml_train(d["x_train"], d["y_train"], PipelineConfig.from_dict(json.loads(config)))
+layer = model.stack.layers[-1]
+np.savez(out, mode=layer.mode, beta=layer.beta, consequents=model.head.consequents,
+         labels=predict_labels(hml_predict(model, d["x_test"])))
+"""
+
+
+def test_training_does_not_depend_on_blas_threads(tmp_path):
+    ds, _ = synth_shape_dataset(300, 0.25, Rng(42))
+    train, test = split_train_test(ds, 0.3, Rng(43))
+    data = tmp_path / "patches.npz"
+    np.savez(data, x_train=train.x, y_train=train.labels, x_test=test.x)
+    src = os.path.dirname(os.path.dirname(elmkit.__file__))
+    runs = []
+    for threads in (1, 2):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"threads{threads}.npz"
+        subprocess.run(
+            [sys.executable, "-c", _TRAIN_AND_SAVE, str(data),
+             json.dumps(SHAPES_CONFIG.to_dict()), str(out)],
+            env=env, check=True, timeout=600,
+        )
+        with np.load(out) as saved:
+            runs.append(dict(saved))
+    one, two = runs
+    assert str(one["mode"]) == "equal"
+    same_beta = one["beta"].tobytes() == two["beta"].tobytes()
+    drift = np.abs(one["consequents"] - two["consequents"]).max() / np.abs(one["consequents"]).max()
+    same_labels = np.array_equal(one["labels"], two["labels"])
+    ok = same_beta and drift < 1e-6 and same_labels
+    verdict(
+        "BLAS thread-count invariance",
+        ok,
+        f"1 vs 2 OpenBLAS threads: equal-layer beta bitwise equal {same_beta}, "
+        f"consequent drift {drift:.1e} (< 1e-6 relative), identical labels {same_labels}",
+    )
+    assert ok

@@ -24,8 +24,7 @@ def test_equal_mode_reconstructs_training_batch(batch):
 
 
 def test_equal_mode_beta_is_near_orthogonal(batch):
-    # beta recovers the transpose of the random rotation on full-rank data,
-    # so beta'beta ~ I falls out; recorded as a diagnostic, not enforced
+    # beta is the transpose of the random rotation, so beta'beta = I to rounding
     ae = ae_train(batch, 4, 1e6, Rng(1))
     assert ae.beta_orthogonality_gap < 1e-8
 
@@ -114,9 +113,23 @@ def test_every_layer_projection_is_orthonormal():
         assert np.abs(a.T @ a - np.eye(min(rows, cols))).max() < 1e-10
 
 
-def test_rank_deficient_equal_mode_is_not_exact():
-    # duplicate columns make h singular; the jittered fallback keeps beta
-    # finite but the exact-inverse guarantee is explicitly full-rank-only
+def test_rank_deficient_equal_mode_is_exact():
+    # duplicate columns make h singular; beta is still the rotation's
+    # transpose, so the round trip holds without any rank condition
     x = np.ones((6, 3)) * np.array([1.0, 1.0, 2.0])
     ae = ae_train(x, 3, 1e6, Rng(12))
     assert np.all(np.isfinite(ae.beta))
+    assert ae.reconstruction_error < 1e-12
+
+
+def test_ill_conditioned_equal_mode_is_the_rotation_transpose():
+    # a near-duplicate column: full rank, cond ~ 3e8, which a
+    # normal-equation inverse squares past 1/eps
+    gen = Rng(13).generator()
+    u = gen.standard_normal((20, 4))
+    x = np.hstack([u, u[:, :1] + 1e-8 * gen.standard_normal((20, 1))])
+    rng = Rng(14)
+    ae = ae_train(x, 5, 1e6, rng)
+    assert ae.beta.tobytes() == orthonormal_random(5, 5, rng.split(0)).T.tobytes()
+    assert ae.beta_orthogonality_gap < 1e-12
+    assert ae.reconstruction_error < 1e-12

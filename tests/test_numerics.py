@@ -184,8 +184,7 @@ def test_pinv_of_singular_matrix_is_finite_and_bounded():
     h = np.ones((3, 3))
     hp = pseudo_inverse(h)
     assert np.all(np.isfinite(hp))
-    # the heavily ridged fallback is a bounded approximation of pinv(ones) = ones/9;
-    # its accuracy floor is cond/eps of the c=1e12 system, not the full-rank 1e-8
+    # pinv(ones) = ones/9; the SVD inverse is exact to rounding, well inside rtol
     np.testing.assert_allclose(hp, np.full((3, 3), 1.0 / 9.0), rtol=1e-2)
 
 
