@@ -47,34 +47,29 @@ class ImageFrame:
         return self.pixels.shape[1]
 
 
+def _hsv8(px: np.ndarray):
+    """Hue, saturation and value planes of ``(..., 3)`` uint8 pixels, as floats rounded to 8-bit levels."""
+    rgb = px.astype(np.float64) / 255.0
+    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
+    maxc = np.maximum(np.maximum(r, g), b)
+    delta = maxc - np.minimum(np.minimum(r, g), b)
+    # gray pixels have r == g == b, so the red branch gives them hue 0
+    div = np.where(delta > 0, delta, 1.0)
+    hue = np.where(
+        maxc == r,
+        np.mod((g - b) / div, 6.0),
+        np.where(maxc == g, (b - r) / div + 2.0, (r - g) / div + 4.0),
+    )
+    hue *= 60.0  # degrees in [0, 360)
+    sat = np.where(maxc > 0, delta / np.where(maxc > 0, maxc, 1.0), 0.0)
+    return np.rint(hue / 360.0 * 255.0), np.rint(sat * 255.0), np.rint(maxc * 255.0)
+
+
 def rgb_to_hsv(img: ImageFrame) -> ImageFrame:
     """Hexcone HSV: hue in [0, 360) and saturation/value in [0, 1], all scaled to 8 bits."""
     if img.channels != "rgb8":
         raise ValueError(f"expected an rgb8 frame, got {img.channels}")
-    rgb = img.pixels.astype(np.float64) / 255.0
-    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
-    maxc = rgb.max(axis=2)
-    minc = rgb.min(axis=2)
-    delta = maxc - minc
-    hue = np.zeros_like(maxc)
-    live = delta > 0
-    rmax = live & (maxc == r)
-    gmax = live & ~rmax & (maxc == g)
-    bmax = live & ~rmax & ~gmax
-    hue[rmax] = np.mod((g - b)[rmax] / delta[rmax], 6.0)
-    hue[gmax] = (b - r)[gmax] / delta[gmax] + 2.0
-    hue[bmax] = (r - g)[bmax] / delta[bmax] + 4.0
-    hue *= 60.0  # degrees in [0, 360)
-    sat = np.where(maxc > 0, delta / np.where(maxc > 0, maxc, 1.0), 0.0)
-    out = np.stack(
-        [
-            np.rint(hue / 360.0 * 255.0),
-            np.rint(sat * 255.0),
-            np.rint(maxc * 255.0),
-        ],
-        axis=2,
-    ).astype(np.uint8)
-    return ImageFrame(out, "hsv8")
+    return ImageFrame(np.stack(_hsv8(img.pixels), axis=2).astype(np.uint8), "hsv8")
 
 
 def hsv_to_rgb_units(h_deg, s, v):
@@ -146,6 +141,18 @@ class SegmentParams:
     sat_min: float = 0.15  # drops dark/washed-out pixels whose hue is meaningless
     val_min: float = 0.15
 
+    def __post_init__(self):
+        for name in ("blur1", "blur2"):
+            size = getattr(self, name)
+            if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
+                raise ValueError(f"{name} must be a positive integer, got {size!r}")
+        if not 0.0 < self.threshold <= 1.0:
+            raise ValueError(f"threshold must be in (0, 1], got {self.threshold!r}")
+        for name in ("sat_min", "val_min"):
+            level = getattr(self, name)
+            if not 0.0 <= level <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {level!r}")
+
 
 def _box_blur(mask: np.ndarray, size: int) -> np.ndarray:
     return ndimage.uniform_filter(mask, size=size, mode="constant")
@@ -154,20 +161,28 @@ def _box_blur(mask: np.ndarray, size: int) -> np.ndarray:
 def segment_object(img: ImageFrame, hue_lo: float, hue_hi: float, params: SegmentParams = SegmentParams()):
     """Isolate the largest in-band object; returns (binary mask, (row, col) centroid).
 
-    ``hue_lo`` and ``hue_hi`` are degrees; a range with hue_lo > hue_hi wraps
-    around 0/360 (e.g. 330..30 selects reds).
+    ``hue_lo`` and ``hue_hi`` are degrees in [0, 360]; a range with
+    hue_lo > hue_hi wraps around 0/360 (e.g. 330..30 selects reds).  The
+    in-band test reads the same 8-bit hue, saturation and value as
+    ``rgb_to_hsv``, but converts only the pixels that pass the value floor.
     """
     if img.channels != "rgb8":
         raise ValueError(f"expected an rgb8 frame, got {img.channels}")
-    hsv = rgb_to_hsv(img).pixels.astype(np.float64)
-    hue = hsv[..., 0] / 255.0 * 360.0
-    sat = hsv[..., 1] / 255.0
-    val = hsv[..., 2] / 255.0
+    if not (0.0 <= hue_lo <= 360.0 and 0.0 <= hue_hi <= 360.0):
+        raise ValueError(f"hue bounds must be in [0, 360], got {hue_lo!r}, {hue_hi!r}")
+    px = img.pixels
+    # value is the channel maximum over 255, so the value test is a lookup
+    # on the 8-bit maximum, with the quantized value's own arithmetic
+    passes_value = np.rint(np.arange(256) / 255.0 * 255.0) / 255.0 >= params.val_min
+    bright = passes_value[np.maximum(np.maximum(px[..., 0], px[..., 1]), px[..., 2])]
+    h8, s8, _ = _hsv8(px[bright])
+    hue = h8 / 255.0 * 360.0
     if hue_lo <= hue_hi:
         in_band = (hue >= hue_lo) & (hue <= hue_hi)
     else:
         in_band = (hue >= hue_lo) | (hue <= hue_hi)
-    mask = (in_band & (sat >= params.sat_min) & (val >= params.val_min)).astype(np.float64)
+    mask = np.zeros(bright.shape, dtype=np.float64)
+    mask[bright] = in_band & (s8 / 255.0 >= params.sat_min)
     if not mask.any():
         raise ValueError("no object in hue band")
     for size in (params.blur1, params.blur2):
@@ -179,8 +194,7 @@ def segment_object(img: ImageFrame, hue_lo: float, hue_hi: float, params: Segmen
     labeled, n_components = ndimage.label(mask)
     if n_components == 0:
         raise ValueError("no object in hue band")
-    sizes = ndimage.sum_labels(np.ones_like(mask), labeled, index=np.arange(1, n_components + 1))
-    keep = int(np.argmax(sizes)) + 1
+    keep = int(np.argmax(np.bincount(labeled.ravel())[1:])) + 1
     component = labeled == keep
     rows, cols = np.nonzero(component)
     # round half up: commutes with integer shifts, keeping the pipeline

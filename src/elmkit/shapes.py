@@ -51,7 +51,7 @@ def _polygon_vertices(kind: str, pose: ShapePose, gen) -> np.ndarray:
 def _fill_polygon(vertices: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Even-odd rasterization by horizontal-ray crossing counts."""
     h, w = shape
-    rr, cc = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
+    rr, cc = np.arange(h, dtype=np.float64)[:, None], np.arange(w, dtype=np.float64)[None, :]
     inside = np.zeros(shape, dtype=bool)
     n = len(vertices)
     for i in range(n):
@@ -84,7 +84,7 @@ def synth_shape(kind: str, pose: ShapePose, noise_level: float, rng: Rng, frame_
         raise ValueError("noise_level must be in [0, 1]")
     gen = rng.generator()
     if kind == "circle":
-        rr, cc = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
+        rr, cc = np.arange(h, dtype=np.float64)[:, None], np.arange(w, dtype=np.float64)[None, :]
         inside = (rr - r0) ** 2 + (cc - c0) ** 2 <= pose.scale**2
     else:
         inside = _fill_polygon(_polygon_vertices(kind, pose, gen), (h, w))
@@ -92,14 +92,12 @@ def synth_shape(kind: str, pose: ShapePose, noise_level: float, rng: Rng, frame_
     sat = 0.88 + gen.uniform(-0.06, 0.06)
     val = 0.82 + gen.uniform(-0.08, 0.08)
     r, g, b = hsv_to_rgb_units(hue % 360.0, sat, val)
-    frame = np.empty((h, w, 3), dtype=np.float64)
-    frame[..., :] = 18.0  # uniform dark background
-    frame[inside, 0] = r * 255.0
-    frame[inside, 1] = g * 255.0
-    frame[inside, 2] = b * 255.0
+    frame = np.full((h, w, 3), 18.0)  # uniform dark background
+    frame[inside] = np.array([r, g, b]) * 255.0
     if noise_level > 0.0:
         frame += gen.normal(0.0, 55.0 * noise_level, frame.shape)
-    pixels = np.clip(np.rint(frame), 0, 255).astype(np.uint8)
+    np.rint(frame, out=frame)
+    pixels = np.clip(frame, 0, 255, out=frame).astype(np.uint8)
     return ImageFrame(pixels, "rgb8"), SHAPE_KINDS.index(kind)
 
 

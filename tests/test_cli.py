@@ -221,6 +221,15 @@ def test_segment_cli(tmp_path, capsys):
     assert (tmp_path / "mask.ppm").exists()
 
 
+def test_segment_cli_rejects_zero_threshold(tmp_path, capsys):
+    px = np.zeros((60, 60, 3), dtype=np.uint8)
+    px[20:40, 20:40] = (255, 0, 0)
+    write_ppm(ImageFrame(px, "rgb8"), tmp_path / "in.ppm")
+    rc = main(["segment", "--image", str(tmp_path / "in.ppm"), "--threshold", "0"])
+    assert rc == 2
+    assert "threshold" in capsys.readouterr().err
+
+
 def test_unknown_config_key_is_usage_error(blob_manifest, capsys):
     tmp, manifest, _ = blob_manifest
     cfg = tmp / "bad.json"

@@ -1,5 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from elmkit.imaging import (
     ImageFrame,
@@ -11,7 +14,7 @@ from elmkit.imaging import (
     write_ppm,
 )
 from elmkit.numerics import Rng
-from elmkit.shapes import HUE_BAND, ShapePose, synth_shape
+from elmkit.shapes import HUE_BAND, ShapePose, synth_shape, synth_shape_dataset
 
 
 def solid_square_frame(size=100, top=40, left=40, side=20, color=(255, 0, 0)):
@@ -172,3 +175,128 @@ def test_synth_rejects_degenerate_pose():
 def test_synth_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown shape kind"):
         synth_shape("hexagon", ShapePose(10.0, 0.0, (50, 50)), 0.0, Rng(0))
+
+
+def reference_hsv(px):
+    """Whole-frame HSV with axis reductions and boolean scatters: the reference
+    the segmentation prefilter and ``rgb_to_hsv`` must match bit for bit."""
+    rgb = px.astype(np.float64) / 255.0
+    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
+    maxc = rgb.max(axis=2)
+    minc = rgb.min(axis=2)
+    delta = maxc - minc
+    hue = np.zeros_like(maxc)
+    live = delta > 0
+    rmax = live & (maxc == r)
+    gmax = live & ~rmax & (maxc == g)
+    bmax = live & ~rmax & ~gmax
+    hue[rmax] = np.mod((g - b)[rmax] / delta[rmax], 6.0)
+    hue[gmax] = (b - r)[gmax] / delta[gmax] + 2.0
+    hue[bmax] = (r - g)[bmax] / delta[bmax] + 4.0
+    hue *= 60.0
+    sat = np.where(maxc > 0, delta / np.where(maxc > 0, maxc, 1.0), 0.0)
+    planes = [np.rint(hue / 360.0 * 255.0), np.rint(sat * 255.0), np.rint(maxc * 255.0)]
+    return np.stack(planes, axis=2).astype(np.uint8)
+
+
+def reference_segment(px, hue_lo, hue_hi, params):
+    """Segmentation through the full float HSV frame; returns (mask, centroid) or the error text."""
+    hsv = reference_hsv(px).astype(np.float64)
+    hue = hsv[..., 0] / 255.0 * 360.0
+    sat = hsv[..., 1] / 255.0
+    val = hsv[..., 2] / 255.0
+    if hue_lo <= hue_hi:
+        in_band = (hue >= hue_lo) & (hue <= hue_hi)
+    else:
+        in_band = (hue >= hue_lo) | (hue <= hue_hi)
+    mask = (in_band & (sat >= params.sat_min) & (val >= params.val_min)).astype(np.float64)
+    if not mask.any():
+        return "no object in hue band"
+    for size in (params.blur1, params.blur2):
+        mask = ndimage.uniform_filter(mask, size=size, mode="constant")
+        peak = mask.max()
+        if peak <= 0.0:
+            return "no object in hue band"
+        mask = (mask >= params.threshold * peak).astype(np.float64)
+    labeled, n = ndimage.label(mask)
+    if n == 0:
+        return "no object in hue band"
+    sizes = ndimage.sum_labels(np.ones_like(mask), labeled, index=np.arange(1, n + 1))
+    component = labeled == int(np.argmax(sizes)) + 1
+    rows, cols = np.nonzero(component)
+    return component.astype(np.uint8), (int(np.floor(rows.mean() + 0.5)), int(np.floor(cols.mean() + 0.5)))
+
+
+def _test_frame(gen, kind):
+    h, w = (int(v) for v in gen.integers(1, 40, 2))
+    if kind == "uniform":
+        return gen.integers(0, 256, (h, w, 3), dtype=np.uint8)
+    if kind == "grays":  # delta == 0 pixels, and channel ties among the colored ones
+        px = gen.choice(np.array([0, 38, 39, 200], dtype=np.uint8), (h, w, 3))
+        px[: h // 2] = px[: h // 2, :, :1]
+        return px
+    return gen.integers(36, 52, (h, w, 3), dtype=np.uint8)  # values near the 0.15 floor
+
+
+def test_segment_matches_whole_frame_hsv_reference():
+    gen = np.random.default_rng(20261018)
+    levels = [0.0, 38 / 255, 39 / 255, 0.15, 1.0]
+    bands = [(330.0, 30.0), (0.0, 360.0), (0.0, 0.0), (90.0, 200.0), (200.0, 90.0), (360.0, 0.0)]
+    found = 0
+    for i in range(900):
+        px = _test_frame(gen, ("uniform", "grays", "near-floor")[i % 3])
+        band = bands[i % len(bands)] if i % 2 else tuple(float(v) for v in gen.uniform(0.0, 360.0, 2))
+        params = SegmentParams(sat_min=float(gen.choice(levels)), val_min=float(gen.choice(levels)))
+        expected = reference_segment(px, *band, params)
+        try:
+            mask, centroid = segment_object(ImageFrame(px, "rgb8"), *band, params)
+        except ValueError as e:
+            assert str(e) == expected, (i, band, params)
+            continue
+        found += 1
+        assert not isinstance(expected, str), (i, band, params)
+        assert mask.pixels.tobytes() == expected[0].tobytes(), (i, band, params)
+        assert centroid == expected[1], (i, band, params)
+    assert 300 < found < 900  # both outcomes are exercised
+
+
+def test_hsv_matches_reference_bytes():
+    gen = np.random.default_rng(7)
+    uniform = gen.integers(0, 256, (1 << 19, 3), dtype=np.uint8)
+    ties = gen.choice(np.array([0, 1, 38, 39, 127, 128, 254, 255], dtype=np.uint8), (1 << 17, 3))
+    px = np.concatenate([uniform, ties])[None]
+    assert rgb_to_hsv(ImageFrame(px, "rgb8")).pixels.tobytes() == reference_hsv(px).tobytes()
+
+
+def test_patch_digest_is_pinned():
+    ds, _ = synth_shape_dataset(5, 0.25, Rng(42))
+    digest = hashlib.sha256(ds.x.tobytes() + ds.labels.tobytes()).hexdigest()
+    assert digest == "b290d7aca2da42a3885e414c2f765a12dd5c4b78d2f046c71978de3b9d200175"
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"threshold": 0.0},
+        {"threshold": -1.0},
+        {"threshold": 1.5},
+        {"threshold": float("nan")},
+        {"blur1": 0},
+        {"blur2": -3},
+        {"blur1": 2.5},
+        {"blur2": True},
+        {"sat_min": float("nan")},
+        {"sat_min": -0.1},
+        {"val_min": float("inf")},
+        {"val_min": 1.5},
+    ],
+)
+def test_segment_params_reject_out_of_range(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        SegmentParams(**kwargs)
+
+
+@pytest.mark.parametrize("band", [(float("nan"), 30.0), (330.0, float("nan")), (-1.0, 30.0), (330.0, 361.0), (0.0, float("inf"))])
+def test_segment_rejects_bad_hue_bounds(band):
+    with pytest.raises(ValueError, match="hue bounds"):
+        segment_object(solid_square_frame(60, 20, 20, 20), *band)
