@@ -59,26 +59,37 @@ def _load_json(path, what):
 
 
 def load_manifest(path) -> LabeledDataset:
-    """Resolve a dataset manifest: {'type': 'idx'|'csv'|'synth', ...}."""
+    """Resolve a dataset manifest: {'type': 'idx'|'csv'|'synth', ...}; a malformed one is a ValueError."""
     manifest = _load_json(path, "manifest")
+    if not isinstance(manifest, dict):
+        raise ValueError(f"manifest {path} must be a JSON object, got {type(manifest).__name__}")
     base = os.path.dirname(os.path.abspath(path))
+
+    def field(name, ok, what, default=None):
+        if not ok(manifest.get(name, default)):
+            raise ValueError(f"manifest {path} field {name!r} must be {what}, got {manifest.get(name)!r}")
+        return manifest.get(name, default)
+
+    def file_field(name):
+        return os.path.join(base, field(name, lambda v: isinstance(v, str), "a file name"))
+
     kind = manifest.get("type")
     if kind == "idx":
-        ds = load_idx(
-            os.path.join(base, manifest["images"]),
-            os.path.join(base, manifest["labels"]),
-        )
+        ds = load_idx(file_field("images"), file_field("labels"))
         if "class_names" in manifest:
-            ds = LabeledDataset(ds.x, ds.labels, tuple(manifest["class_names"]))
+            names = field("class_names", lambda v: isinstance(v, list), "a list of names")
+            ds = LabeledDataset(ds.x, ds.labels, tuple(names))
         return ds
     if kind == "csv":
-        return load_csv(os.path.join(base, manifest["path"]))
+        return load_csv(file_field("path"))
     if kind == "synth":
+        size = field("frame_size", lambda v: isinstance(v, list) and [type(n) for n in v] == [int, int],
+                     "two integers", [120, 120])
         ds, _ = synth_shape_dataset(
-            int(manifest.get("n_per_class", 100)),
-            float(manifest.get("noise", 0.25)),
-            Rng(int(manifest.get("seed", 0))),
-            frame_shape=tuple(manifest.get("frame_size", (120, 120))),
+            field("n_per_class", lambda v: type(v) is int, "an integer", 100),
+            float(field("noise", lambda v: type(v) in (int, float), "a number", 0.25)),
+            Rng(field("seed", lambda v: type(v) is int, "an integer", 0)),
+            frame_shape=tuple(size),
         )
         return ds
     raise ValueError(f"manifest {path} has unknown type {kind!r}")

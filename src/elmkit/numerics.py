@@ -66,13 +66,13 @@ def as_matrix(a, name: str = "matrix", min_rows: int = 1) -> np.ndarray:
     return m
 
 
-def _solve_spd(gram: np.ndarray, rhs: np.ndarray, c: float) -> np.ndarray:
-    """Solve (gram + I/c) x = rhs by Cholesky with a jittered retry ladder.
+def _solve_spd(build, rhs: np.ndarray, c: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Solve (G + I/c) x = rhs by Cholesky with a jittered retry ladder.
 
-    Consumes ``gram``, an exactly symmetric C-ordered temporary: ``gram.T`` is
-    the same matrix in Fortran order, so LAPACK factors it in place, without a
-    copy, overwriting only the diagonal and the upper triangle; a retry
-    restores them from the saved diagonal and the strict lower triangle.
+    ``build(g)`` writes G, at least its diagonal and upper triangle, into the
+    C-ordered n x n ``g`` (``out``, or a fresh buffer); ``g.T`` is G in Fortran
+    order, factored in place from its lower triangle, so the strict lower
+    triangle of ``g`` is left to the caller.  Each retry calls ``build`` again.
 
     The ridge term keeps the system positive definite except in pathological
     cases; on failure the diagonal is jittered by 1e-10 * trace/n, doubled up
@@ -80,15 +80,16 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray, c: float) -> np.ndarray:
     With c = inf no jitter is applied: a singular system is reported instead
     of silently regularized.
     """
-    n = gram.shape[0]
+    n = rhs.shape[0]
+    g = np.empty((n, n)) if out is None else out
     ridge = 0.0 if math.isinf(c) else 1.0 / c
-    diag = gram.diagonal().copy()
-    base = 1e-10 * (diag.sum() / n if diag.sum() > 0 else 1.0)
     jitter = 0.0
     for attempt in range(4):
-        gram.flat[:: n + 1] = diag + (ridge + jitter)
+        build(g)
+        trace = g.trace()
+        g.flat[:: n + 1] += ridge + jitter
         try:
-            cf = scipy.linalg.cho_factor(gram.T, lower=True, overwrite_a=True, check_finite=False)
+            cf = scipy.linalg.cho_factor(g.T, lower=True, overwrite_a=True, check_finite=False)
             if ridge + jitter == 0.0:
                 # rounding can let potrf succeed on a singular matrix; vet the factor
                 d = np.abs(np.diag(cf[0]))
@@ -103,9 +104,7 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray, c: float) -> np.ndarray:
                 raise NumericalError(
                     "system is rank deficient with c = inf; supply a finite c"
                 ) from None
-            jitter = base * (2.0 ** attempt)
-            for i in range(n - 1):  # potrf overwrote the upper triangle; mirror the lower one back
-                gram[i, i + 1 :] = gram[i + 1 :, i]
+            jitter = 1e-10 * (trace / n if trace > 0 else 1.0) * 2.0**attempt
     raise NumericalError("Cholesky failed even after jittered retries")
 
 
@@ -125,9 +124,9 @@ def ridge_solve(h: np.ndarray, t: np.ndarray, c: float) -> np.ndarray:
         raise ValueError("c must be positive (math.inf allowed)")
     rows, cols = h.shape
     if cols <= rows:
-        b = _solve_spd(h.T @ h, h.T @ t, c)
+        b = _solve_spd(lambda g: np.matmul(h.T, h, out=g), h.T @ t, c)
     else:
-        b = h.T @ _solve_spd(h @ h.T, t, c)
+        b = h.T @ _solve_spd(lambda g: np.matmul(h, h.T, out=g), t, c)
     if not np.all(np.isfinite(b)):
         raise NumericalError("ridge solution contains non-finite entries")
     # canonical row-major layout so downstream matmuls take identical BLAS

@@ -57,33 +57,53 @@ def _consequent_values(xb: np.ndarray, q_col: np.ndarray, n_rules: int) -> np.nd
 
 
 _BLOCK_ENTRIES = 2_000_000  # cap on materialized hidden-row entries per block
+_TILE_ROWS = 128  # rows per block of a dual Gram, written straight into its buffer
 
 
-def _product_ridge(phi, xb, t, c, xxt=None):
+def _input_gram(xb):
+    """A p x p buffer with K = xb xb' below its diagonal _TILE_ROWS blocks, which dual solves keep."""
+    buf = np.empty((xb.shape[0], xb.shape[0]))
+    for s in range(0, xb.shape[0], _TILE_ROWS):
+        np.matmul(xb[s : s + _TILE_ROWS], xb[:s].T, out=buf[s : s + _TILE_ROWS, :s])
+    return buf
+
+
+def _product_ridge(phi, xb, t, c, buf=None):
     """Ridge solve for hidden rows h_p = kron(phi_p, xb_p) without forming them.
 
     Tall systems accumulate the primal Gram over row blocks.  Wide systems
     exploit h_p . h_q = (phi_p . phi_q)(xb_p . xb_q): the dual Gram is the
-    elementwise product of the two small Grams, factored in place, and the
-    weights fold back for all rules with one GEMM.  ``xxt`` lets callers
-    share xb @ xb.T across solves.
+    elementwise product of the two small Grams, written in row blocks into
+    the upper triangle of ``buf`` (from ``_input_gram``, made here when not
+    given) around the K it reads, factored there in place, and the weights
+    fold back for all rules with one GEMM.  K survives for the next solve.
     """
     p, m_rules = phi.shape
     k = xb.shape[1]
     m = m_rules * k
     if m <= p:
         block = max(1, _BLOCK_ENTRIES // m)
-        gram = np.zeros((m, m))
         rhs = np.zeros((m, t.shape[1]))
-        for s in range(0, p, block):
-            h = (phi[s : s + block, :, None] * xb[s : s + block, None, :]).reshape(-1, m)
-            gram += h.T @ h
-            rhs += h.T @ t[s : s + block]
-        b = _solve_spd(gram, rhs, c)
+
+        def build(gram):  # also sums rhs, which _solve_spd reads only after a build
+            gram.fill(0.0)
+            rhs.fill(0.0)
+            for s in range(0, p, block):
+                h = (phi[s : s + block, :, None] * xb[s : s + block, None, :]).reshape(-1, m)
+                gram += h.T @ h
+                np.add(rhs, h.T @ t[s : s + block], out=rhs)
+
+        b = _solve_spd(build, rhs, c)
     else:
-        gram = phi @ phi.T
-        gram *= xxt if xxt is not None else xb @ xb.T
-        alpha = _solve_spd(gram, t, c)
+        def build(g):
+            for s in range(0, p, _TILE_ROWS):
+                e = min(s + _TILE_ROWS, p)
+                # right of the diagonal block, K[i, j] is read from g[j, i]
+                np.matmul(phi[s:e], phi[e:].T, out=g[s:e, e:])
+                g[s:e, e:] *= g[e:, s:e].T
+                g[s:e, s:e] = (phi[s:e] @ phi[s:e].T) * (xb[s:e] @ xb[s:e].T)
+
+        alpha = _solve_spd(build, t, c, out=_input_gram(xb) if buf is None else buf)
         # b[j*k + a] = sum_p phi[p, j] xb[p, a] alpha[p], for every (rule, output) column
         folded = xb.T @ (phi[:, :, None] * alpha[:, None, :]).reshape(p, -1)
         b = folded.reshape(k, m_rules, -1).transpose(1, 0, 2).reshape(m, -1)
@@ -149,11 +169,11 @@ def sit2_train(
 
     lower, upper, _ = firing_batch(rules, x)
     xb = _with_bias(x)
-    both = lower + upper
-    phi0 = both / both.sum(axis=1, keepdims=True)
-    # the dual-path Gram of the input part is shared by every solve below
-    xxt = xb @ xb.T if n_rules * xb.shape[1] > x.shape[0] else None
-    q = _product_ridge(phi0, xb, t, c, xxt)
+    phi0 = lower + upper
+    phi0 /= phi0.sum(axis=1, keepdims=True)
+    # the dual path's input Gram, in the one buffer every solve below builds in
+    buf = _input_gram(xb) if n_rules * xb.shape[1] > x.shape[0] else None
+    q = _product_ridge(phi0, xb, t, c, buf)
     if not refine:
         return Sit2Model(rules, q, STAGE_INITIALIZED)
 
@@ -162,7 +182,7 @@ def sit2_train(
         w = _consequent_values(xb, q[:, i], n_rules)
         _, _, z_l, z_r = sc_reduce_batch(lower, upper, w)
         phi = _refinement_weights(lower, upper, z_l, z_r)
-        q_ref[:, i] = _product_ridge(phi, xb, t[:, i : i + 1], c, xxt)[:, 0]
+        q_ref[:, i] = _product_ridge(phi, xb, t[:, i : i + 1], c, buf)[:, 0]
     return Sit2Model(rules, q_ref, STAGE_REFINED)
 
 

@@ -272,3 +272,29 @@ def test_malformed_config_values_are_usage_errors(blob_manifest, capsys):
         assert rc == 2, bad
         assert "config" in capsys.readouterr().err
     assert not (tmp / "m.bin").exists()
+
+
+@pytest.mark.parametrize(
+    "manifest, named",
+    [
+        ([{"type": "synth"}], "JSON object"),
+        ({"type": "synth", "n_per_class": None}, "'n_per_class'"),
+        ({"type": "synth", "frame_size": 5}, "'frame_size'"),
+        ({"type": "idx"}, "'images'"),
+    ],
+)
+def test_malformed_manifest_is_usage_error(blob_manifest, manifest, named, capsys):
+    tmp, _, config = blob_manifest
+    bad = tmp / "bad_manifest.json"
+    bad.write_text(json.dumps(manifest))
+    model = str(tmp / "model.bin")
+    assert main(["train", "--config", config, "--data", str(bad), "--out", model]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and named in err, err
+    assert not (tmp / "model.bin").exists()
+    _, good, _ = blob_manifest
+    assert main(["train", "--config", config, "--data", good, "--out", model, "--seed", "5"]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--model", model, "--data", str(bad), "--out", str(tmp / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and named in err, err

@@ -124,7 +124,7 @@ def test_in_place_spd_solve_is_bitwise_the_copy_based_one(n, rank, c):
     expected, jitter = copy_based_spd_solve(gram, rhs, c)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = _solve_spd(gram.copy(), rhs, c)
+        got = _solve_spd(lambda g: np.copyto(g, gram), rhs, c)
     assert got.tobytes() == expected.tobytes()
     # a retry rebuilt the consumed matrix: the ladder's rung that succeeded is
     # the jitter the warning names, and the rank-deficient c = 1e30 cases need one
@@ -132,6 +132,52 @@ def test_in_place_spd_solve_is_bitwise_the_copy_based_one(n, rank, c):
     assert [str(w.message) for w in caught] == (
         [f"Cholesky succeeded only after adding jitter {jitter:.3e} to the diagonal"] if jitter else []
     )
+
+
+def upper_builder(gram, calls):
+    """Builder writing gram's diagonal and upper triangle into a C-ordered
+    buffer and NaN into the strict lower triangle, which the solve never reads."""
+    n = gram.shape[0]
+    lower = np.tril_indices(n, -1)
+
+    def build(g):
+        calls.append(n)
+        np.copyto(g, gram)
+        g[lower] = np.nan
+
+    return build
+
+
+@pytest.mark.parametrize("n, rank, c", [(50, 3, 1e4), (300, 300, 1.0), (50, 3, 1e30), (400, 20, 1e30)])
+def test_spd_solve_never_reads_the_strict_lower_triangle(n, rank, c):
+    gen = Rng(n + rank).generator()
+    h = gen.standard_normal((n, rank))
+    gram = h @ h.T
+    rhs = gen.standard_normal((n, 3))
+    expected, _ = copy_based_spd_solve(gram, rhs, c)
+    buf = np.empty((n, n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = _solve_spd(upper_builder(gram, []), rhs, c, out=buf)
+    assert got.tobytes() == expected.tobytes()
+    # the factor was written into the caller's buffer, and the NaN triangle survived it
+    assert np.isnan(buf[np.tril_indices(n, -1)]).all()
+
+
+@pytest.mark.parametrize("n, rank", [(50, 3), (400, 20)])
+def test_rank_deficient_solve_builds_once_per_rung(n, rank):
+    gen = Rng(n + rank).generator()
+    h = gen.standard_normal((n, rank))
+    gram = h @ h.T
+    rhs = gen.standard_normal((n, 3))
+    _, jitter = copy_based_spd_solve(gram, rhs, 1e30)
+    base = 1e-10 * (np.trace(gram) / n)
+    rung = [0.0, base, 2.0 * base, 4.0 * base].index(jitter)
+    assert rung > 0
+    calls = []
+    with pytest.warns(RuntimeWarning, match="jitter"):
+        _solve_spd(upper_builder(gram, calls), rhs, 1e30)
+    assert len(calls) == rung + 1
 
 
 def test_jittered_solve_warns():

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from elmkit.elm import predict_labels
-from elmkit.numerics import Rng
+from elmkit import sit2
+from elmkit.numerics import Rng, _solve_spd
 from elmkit.sit2 import (
     STAGE_INITIALIZED,
     STAGE_REFINED,
     Sit2Model,
+    _input_gram,
     _product_ridge,
     _with_bias,
     sit2_predict,
@@ -161,19 +163,62 @@ def test_refinement_does_not_hurt_separable_fit():
     assert acc_ref >= acc_init - 0.02
 
 
-def test_dual_product_ridge_holds_two_gram_buffers():
-    # the Gram and the shared xb @ xb.T, as sit2_train holds it, are the only
-    # p x p arrays: a defensive copy, or a Fortran-order copy made for LAPACK,
-    # would add a third
+def reference_product_ridge(phi, xb, t, c):
+    """The dual path through full p x p Grams: (phi phi') * (xb xb') factored
+    by the copy-free solve, then folded back for every rule."""
+    p, m_rules = phi.shape
+    k = xb.shape[1]
+    gram = phi @ phi.T
+    gram *= xb @ xb.T
+    alpha = _solve_spd(lambda g: np.copyto(g, gram), t, c)
+    folded = xb.T @ (phi[:, :, None] * alpha[:, None, :]).reshape(p, -1)
+    return folded.reshape(k, m_rules, -1).transpose(1, 0, 2).reshape(m_rules * k, -1)
+
+
+@pytest.mark.parametrize("p", [1, 255, 257, 529])
+def test_dual_solves_share_one_buffer_and_match_the_full_gram_path(p, monkeypatch):
+    gen = Rng(74 + p).generator()
+    m_rules, n_inputs = 20, 29  # m = 600 > p: the dual route
+    xb = _with_bias(gen.uniform(0.0, 1.0, (p, n_inputs)))
+    t = np.eye(3)[gen.integers(0, 3, p)]
+    kxx = xb @ xb.T
+    block = np.arange(p) // sit2._TILE_ROWS
+    below_blocks = np.nonzero(block[:, None] > block[None, :])
+    buf = _input_gram(xb)
+    np.testing.assert_allclose(buf[below_blocks], kxx[below_blocks], rtol=1e-14)
+    k_stored = buf[below_blocks]
+
+    built = []
+
+    def recording_solve(build, rhs, c, out=None):
+        def record(g):
+            build(g)
+            built.append(np.triu(g))
+
+        return _solve_spd(record, rhs, c, out)
+
+    monkeypatch.setattr(sit2, "_solve_spd", recording_solve)
+    # the initial pass and one refinement solve, as sit2_train runs them on one buffer
+    for targets in (t, t[:, :1]):
+        phi = gen.uniform(0.1, 1.0, (p, m_rules))
+        got = _product_ridge(phi, xb, targets, 1e4, buf)
+        np.testing.assert_allclose(built.pop(), np.triu((phi @ phi.T) * kxx), rtol=1e-14)
+        assert buf[below_blocks].tobytes() == k_stored.tobytes()
+        np.testing.assert_allclose(got, reference_product_ridge(phi, xb, targets, 1e4), rtol=1e-9)
+
+
+def test_sit2_train_dual_path_holds_one_gram_buffer():
+    # the dual Gram and the input Gram it is built from share one p x p
+    # buffer; the bound leaves room for xb, the firing arrays and the SC
+    # reducer's working set, not for a second p x p array
     gen = Rng(73).generator()
-    p, m_rules, k = 1200, 30, 50  # m = 1500 > p: the dual route
-    phi = gen.uniform(0.1, 1.0, (p, m_rules))
-    xb = gen.uniform(-1.0, 1.0, (p, k))
-    t = gen.uniform(-1.0, 1.0, (p, 1))
+    p, n_inputs, n_rules = 1200, 120, 10  # m = 10 * 121 > p: the dual route
+    x = gen.uniform(0.0, 1.0, (p, n_inputs))
+    t = np.eye(2)[gen.integers(0, 2, p)]
     tracemalloc.start()
     try:
-        _product_ridge(phi, xb, t, 50.0, xb @ xb.T)
+        sit2_train(x, t, n_rules, Rng(1), c=1e4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * 8 * p * p
+    assert peak <= 1.25 * 8 * p * p
