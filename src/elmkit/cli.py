@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 import time
 from dataclasses import replace
 
@@ -25,7 +24,7 @@ from .metrics import (
     simulate_streams,
     write_confusion_csv,
 )
-from .model_io import load_model, save_model
+from .model_io import load_model, save_model, write_atomic
 from .numerics import NumericalError, Rng
 from .pipeline import PipelineConfig, hml_predict, hml_train
 from .shapes import HUE_BAND, synth_shape_dataset
@@ -35,17 +34,7 @@ ORACLE_TOLERANCE = 1e-9
 
 
 def _write_json(obj, path) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            json.dump(obj, f, indent=2, sort_keys=True)
-            f.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, [(json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()])
 
 
 def _load_json(path, what):

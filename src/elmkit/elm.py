@@ -13,20 +13,10 @@ import numpy as np
 
 from .numerics import Rng, as_matrix, ridge_solve
 
-ACTIVATIONS = ("sigmoid", "linear")
-
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     # clip keeps exp from overflowing; the function saturates there anyway
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
-
-
-def _activate(z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "sigmoid":
-        return sigmoid(z)
-    if activation == "linear":
-        return z
-    raise ValueError(f"unknown activation {activation!r}")
 
 
 @dataclass(frozen=True)
@@ -34,7 +24,6 @@ class ElmModel:
     input_weights: np.ndarray  # n_features x n_hidden
     biases: np.ndarray  # n_hidden
     output_weights: np.ndarray  # n_hidden x n_classes
-    activation: str = "sigmoid"
 
     @property
     def n_features(self) -> int:
@@ -45,8 +34,8 @@ class ElmModel:
         return self.output_weights.shape[1]
 
 
-def elm_train(x, t, n_hidden: int, c: float, rng: Rng, activation: str = "sigmoid") -> ElmModel:
-    """Train on one-hot targets t (0/1, one 1 per row).
+def elm_train(x, t, n_hidden: int, c: float, rng: Rng) -> ElmModel:
+    """Train on one-hot targets t (0/1, one 1 per row) with a sigmoid hidden layer.
 
     Hidden weights are uniform in [-1, 1] and biases uniform in [0, 1];
     orthogonal projections are reserved for the autoencoders.  Inputs are
@@ -63,9 +52,9 @@ def elm_train(x, t, n_hidden: int, c: float, rng: Rng, activation: str = "sigmoi
     gen = rng.generator()
     a = gen.uniform(-1.0, 1.0, size=(x.shape[1], n_hidden))
     b = gen.uniform(0.0, 1.0, size=n_hidden)
-    h = _activate(x @ a + b, activation)
+    h = sigmoid(x @ a + b)
     beta = ridge_solve(h, t, c)
-    return ElmModel(a, b, beta, activation)
+    return ElmModel(a, b, beta)
 
 
 def elm_predict(model: ElmModel, x) -> np.ndarray:
@@ -75,7 +64,7 @@ def elm_predict(model: ElmModel, x) -> np.ndarray:
         raise ValueError(
             f"feature mismatch: model expects {model.n_features}, got {x.shape[1]}"
         )
-    h = _activate(x @ model.input_weights + model.biases, model.activation)
+    h = sigmoid(x @ model.input_weights + model.biases)
     return h @ model.output_weights
 
 

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-CHANNEL_KINDS = ("rgb8", "gray8", "binary", "hsv8")
+CHANNEL_KINDS = ("rgb8", "binary", "hsv8")
 
 
 @dataclass(frozen=True)
 class ImageFrame:
-    pixels: np.ndarray  # rgb8/hsv8: (h, w, 3) uint8; gray8: (h, w) uint8; binary: (h, w) in {0, 1}
+    pixels: np.ndarray  # rgb8/hsv8: (h, w, 3) uint8; binary: (h, w) uint8 in {0, 1}
     channels: str
 
     def __post_init__(self):
@@ -32,7 +32,7 @@ class ImageFrame:
         else:
             if px.ndim != 2 or px.dtype != np.uint8:
                 raise ValueError(f"{self.channels} frames need (h, w) uint8 pixels")
-            if self.channels == "binary" and px.size and px.max() > 1:
+            if px.size and px.max() > 1:
                 raise ValueError("binary frames only hold 0/1 values")
         if px.shape[0] < 1 or px.shape[1] < 1:
             raise ValueError("frames need at least one pixel")
@@ -121,11 +121,9 @@ def read_ppm(path) -> ImageFrame:
 
 
 def write_ppm(img: ImageFrame, path) -> None:
-    """Write as binary P6; gray and binary frames are expanded to gray RGB."""
+    """Write as binary P6; binary frames are expanded to black and white RGB."""
     if img.channels in ("rgb8", "hsv8"):
         px = img.pixels
-    elif img.channels == "gray8":
-        px = np.repeat(img.pixels[:, :, None], 3, axis=2)
     else:
         px = np.repeat((img.pixels * 255).astype(np.uint8)[:, :, None], 3, axis=2)
     with open(path, "wb") as f:
@@ -209,7 +207,7 @@ def extract_patch(img: ImageFrame, centroid, side: int = 52) -> np.ndarray:
     The crop is zero-padded at the borders and binarized, so the result is
     always a length side*side vector of 0/1 values.
     """
-    if img.channels not in ("binary", "gray8"):
+    if img.channels != "binary":
         raise ValueError(f"expected a mask frame, got {img.channels}")
     r, c = int(centroid[0]), int(centroid[1])
     if not (0 <= r < img.height and 0 <= c < img.width):

@@ -9,6 +9,7 @@ serialize identically; nothing time- or host-dependent is written.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -26,7 +27,8 @@ MAGIC = b"ELMKITM\x01"
 FORMAT_VERSION = 1
 # per-layer header fields, in Autoencoder constructor order after beta
 LAYER_FIELDS = ("mode", "activation", "c", "reconstruction_error", "beta_orthogonality_gap")
-# the arrays each head type reads, besides the scaler's and one per layer
+# the arrays each head type writes and reads, in its constructor's order,
+# besides the scaler's and one per layer
 HEAD_ARRAYS = {
     "sit2": ("head.centers", "head.sigma_lower", "head.sigma_upper", "head.consequents"),
     "elm": ("head.input_weights", "head.biases", "head.output_weights"),
@@ -39,51 +41,51 @@ def _array_bytes(a: np.ndarray) -> bytes:
 
 
 def _collect_head(head):
+    """A head's header metadata, and its arrays under the names ``HEAD_ARRAYS`` lists."""
     if isinstance(head, Sit2Model):
         meta = {"type": "sit2", "stage": head.stage}
-        arrays = {
-            "head.centers": head.rules.centers,
-            "head.sigma_lower": head.rules.sigma_lower,
-            "head.sigma_upper": head.rules.sigma_upper,
-            "head.consequents": head.consequents,
-        }
+        values = (head.rules.centers, head.rules.sigma_lower, head.rules.sigma_upper, head.consequents)
     elif isinstance(head, ElmModel):
-        meta = {"type": "elm", "activation": head.activation}
-        arrays = {
-            "head.input_weights": head.input_weights,
-            "head.biases": head.biases,
-            "head.output_weights": head.output_weights,
-        }
+        meta = {"type": "elm", "activation": "sigmoid"}
+        values = (head.input_weights, head.biases, head.output_weights)
     elif isinstance(head, np.ndarray):
         meta = {"type": "ridge"}
-        arrays = {"head.weights": head}
+        values = (head,)
     else:
         raise TypeError(f"cannot serialize head of type {type(head).__name__}")
-    return meta, arrays
+    return meta, dict(zip(HEAD_ARRAYS[meta["type"]], values))
 
 
-def _restore_head(meta, arrays):
+def _restore_head(meta, arrays, path):
+    values = [arrays[name] for name in HEAD_ARRAYS[meta["type"]]]
     if meta["type"] == "sit2":
-        rules = It2RuleBase(
-            arrays["head.centers"],
-            arrays["head.sigma_lower"],
-            arrays["head.sigma_upper"],
-        )
-        return Sit2Model(rules, arrays["head.consequents"], meta["stage"])
+        *rule_arrays, consequents = values
+        return Sit2Model(It2RuleBase(*rule_arrays), consequents, meta["stage"])
     if meta["type"] == "elm":
-        return ElmModel(
-            arrays["head.input_weights"],
-            arrays["head.biases"],
-            arrays["head.output_weights"],
-            meta["activation"],
-        )
-    return arrays["head.weights"]
+        if meta["activation"] != "sigmoid":
+            raise ValueError(f"{path}: elm head activation {meta['activation']!r} is not sigmoid")
+        return ElmModel(*values)
+    return values[0]
+
+
+def write_atomic(path, chunks) -> None:
+    """Write the byte chunks to a temp file beside ``path``, then rename it onto ``path``."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def save_model(model: HmlModel, path) -> None:
-    """Serialize atomically (write to a temp file, then rename)."""
+    """Serialize atomically, one array at a time."""
     head_meta, arrays = _collect_head(model.head)
-    arrays = dict(arrays)
     arrays["scaler.offset"] = model.scaler.offset
     arrays["scaler.span"] = model.scaler.span
     layer_meta = []
@@ -111,20 +113,8 @@ def save_model(model: HmlModel, path) -> None:
         "arrays": sections,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(MAGIC)
-            f.write(len(blob).to_bytes(4, "little"))
-            f.write(blob)
-            for name in names:
-                f.write(_array_bytes(np.asarray(arrays[name])))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    payload = (_array_bytes(np.asarray(arrays[name])) for name in names)
+    write_atomic(path, itertools.chain((MAGIC, len(blob).to_bytes(4, "little"), blob), payload))
 
 
 def _read_arrays(sections, payload: memoryview, path) -> dict:
@@ -186,7 +176,7 @@ def load_model(path) -> HmlModel:
             Autoencoder(arrays[f"stack.{i}.beta"], *(meta[k] for k in LAYER_FIELDS))
             for i, meta in enumerate(header["stack_layers"])
         ]
-        head = _restore_head(header["head"], arrays)
+        head = _restore_head(header["head"], arrays, path)
         config = PipelineConfig.from_dict(header["config"])
         metrics = TrainMetrics(0.0, 0.0, header["train_accuracy"])
         return HmlModel(scaler, FeatureStack(tuple(layers)), head, config, header["n_classes"], metrics)

@@ -161,6 +161,17 @@ def one_hot(labels, n_classes: int) -> np.ndarray:
     return np.eye(n_classes)[labels]
 
 
+def _fit_head(scaler, stack, xs, labels, n_classes, config, stack_seconds) -> HmlModel:
+    """Encode the scaled rows, fit the config's head on them, and assemble the model."""
+    t0 = time.perf_counter()
+    feats = stack_transform(stack, xs)
+    head = _head_train(feats, one_hot(labels, n_classes), config, Rng(config.seed).split(1))
+    t1 = time.perf_counter()
+    accuracy = float((predict_labels(_head_predict(head, feats)) == labels).mean())
+    metrics = TrainMetrics(stack_seconds, t1 - t0, accuracy)
+    return HmlModel(scaler, stack, head, config, n_classes, metrics)
+
+
 def hml_train(x, labels, config: PipelineConfig) -> HmlModel:
     """Standardize, train the stack, then fit the head on encoded features."""
     x = as_matrix(x, "x")
@@ -170,18 +181,11 @@ def hml_train(x, labels, config: PipelineConfig) -> HmlModel:
     n_classes = int(labels.max()) + 1 if labels.size else 0
     if n_classes < 2:
         raise ValueError("need >= 2 classes in the labels")
-    rng = Rng(config.seed)
     scaler = FeatureScaler.fit(x)
     xs = scaler.transform(x)
     t0 = time.perf_counter()
-    stack = stack_train(xs, config.layer_sizes, config.cs[:-1], rng.split(0))
-    t1 = time.perf_counter()
-    feats = stack_transform(stack, xs)
-    head = _head_train(feats, one_hot(labels, n_classes), config, rng.split(1))
-    t2 = time.perf_counter()
-    accuracy = float((predict_labels(_head_predict(head, feats)) == labels).mean())
-    metrics = TrainMetrics(t1 - t0, t2 - t1, accuracy)
-    return HmlModel(scaler, stack, head, config, n_classes, metrics)
+    stack = stack_train(xs, config.layer_sizes, config.cs[:-1], Rng(config.seed).split(0))
+    return _fit_head(scaler, stack, xs, labels, n_classes, config, time.perf_counter() - t0)
 
 
 def retrain_head(model: HmlModel, x, labels, seed: int | None = None) -> HmlModel:
@@ -189,13 +193,9 @@ def retrain_head(model: HmlModel, x, labels, seed: int | None = None) -> HmlMode
     x = as_matrix(x, "x")
     labels = np.asarray(labels, dtype=np.int64).ravel()
     config = model.config if seed is None else replace(model.config, seed=seed)
-    feats = stack_transform(model.stack, model.scaler.transform(x))
-    t0 = time.perf_counter()
-    head = _head_train(feats, one_hot(labels, model.n_classes), config, Rng(config.seed).split(1))
-    t1 = time.perf_counter()
-    accuracy = float((predict_labels(_head_predict(head, feats)) == labels).mean())
-    metrics = TrainMetrics(model.metrics.stack_seconds, t1 - t0, accuracy)
-    return HmlModel(model.scaler, model.stack, head, config, model.n_classes, metrics)
+    xs = model.scaler.transform(x)
+    stack_seconds = model.metrics.stack_seconds
+    return _fit_head(model.scaler, model.stack, xs, labels, model.n_classes, config, stack_seconds)
 
 
 def hml_predict(model: HmlModel, x) -> np.ndarray:

@@ -27,6 +27,9 @@ from .type_reduction import (
 STAGE_INITIALIZED = "initialized"
 STAGE_REFINED = "refined"
 
+WIDTH_SCALE = (0.5, 1.5)  # upper widths, as multiples of the scaled half feature range
+WIDTH_RATIO = (0.6, 0.95)  # lower width over upper width; (1, 1) collapses the model to type-1
+
 
 @dataclass(frozen=True)
 class Sit2Model:
@@ -130,17 +133,13 @@ def sit2_train(
     n_rules: int,
     rng: Rng,
     c: float = 1e6,
-    width_scale_range: tuple[float, float] = (0.5, 1.5),
-    width_ratio_range: tuple[float, float] = (0.6, 0.95),
     refine: bool = True,
 ) -> Sit2Model:
     """Fit the classifier on one-hot targets t.
 
     Centers are uniform over each feature's observed range; upper widths are
-    uniform in ``width_scale_range`` times half the mean feature range, and
-    lower widths are the upper ones shrunk by a ratio from
-    ``width_ratio_range``.  Passing a degenerate ratio range (1, 1) collapses
-    the width interval, making the model a plain type-1 TSK system.
+    uniform in ``WIDTH_SCALE`` times half the mean feature range, and lower
+    widths are the upper ones shrunk by a ratio from ``WIDTH_RATIO``.
     """
     x = as_matrix(x, "x")
     t = as_matrix(t, "t")
@@ -161,10 +160,8 @@ def sit2_train(
     # exponent sums over every input, and without this factor the firing
     # of all but the nearest rule underflows on wide feature vectors
     half_span *= float(np.sqrt(x.shape[1]))
-    sigma_upper = gen.uniform(
-        width_scale_range[0] * half_span, width_scale_range[1] * half_span, n_rules
-    )
-    sigma_lower = gen.uniform(*width_ratio_range, size=n_rules) * sigma_upper
+    sigma_upper = gen.uniform(WIDTH_SCALE[0] * half_span, WIDTH_SCALE[1] * half_span, n_rules)
+    sigma_lower = gen.uniform(*WIDTH_RATIO, size=n_rules) * sigma_upper
     rules = It2RuleBase(centers, sigma_lower, sigma_upper)
 
     lower, upper, _ = firing_batch(rules, x)

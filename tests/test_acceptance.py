@@ -26,6 +26,7 @@ from elmkit.numerics import Rng, orthonormal_random, ridge_solve
 from elmkit.autoencoder import ae_train
 from elmkit.pipeline import PipelineConfig, hml_predict, hml_train, one_hot
 from elmkit.shapes import synth_shape_dataset
+from elmkit import sit2
 from elmkit.sit2 import _with_bias, sit2_predict, sit2_train
 from elmkit.type_reduction import (
     FiringInterval,
@@ -264,15 +265,15 @@ def test_active_classification_streams(shapes_benchmark):
     assert ok_streams and ok_hand
 
 
-def test_degenerate_fou_stage_equivalence():
+def test_degenerate_fou_stage_equivalence(monkeypatch):
+    monkeypatch.setattr(sit2, "WIDTH_RATIO", (1.0, 1.0))
     gen = Rng(808).generator()
     centers = gen.uniform(0, 1, (3, 5))
     x = np.vstack([gen.normal(c, 0.08, (50, 5)) for c in centers])
     labels = np.repeat(np.arange(3), 50)
     t = one_hot(labels, 3)
-    kwargs = dict(c=1e5, width_ratio_range=(1.0, 1.0))
-    refined = sit2_train(x, t, 6, Rng(4), **kwargs)
-    initial = sit2_train(x, t, 6, Rng(4), refine=False, **kwargs)
+    refined = sit2_train(x, t, 6, Rng(4), c=1e5)
+    initial = sit2_train(x, t, 6, Rng(4), c=1e5, refine=False)
     scale = np.abs(initial.consequents).max()
     gap = np.abs(refined.consequents - initial.consequents).max() / scale
     ok_stages = gap <= 1e-6

@@ -44,7 +44,7 @@ def test_hsv_gray_has_zero_saturation():
 
 def test_hsv_rejects_non_rgb():
     with pytest.raises(ValueError, match="rgb8"):
-        rgb_to_hsv(ImageFrame(np.zeros((2, 2), dtype=np.uint8), "gray8"))
+        rgb_to_hsv(ImageFrame(np.zeros((2, 2), dtype=np.uint8), "binary"))
 
 
 def test_frame_validation():

@@ -162,16 +162,21 @@ CORRUPTIONS = {
 }
 
 
-@pytest.fixture
-def saved_model(tmp_path):
+def save_with_manifest(tmp_path, cfg):
+    """Path of a model trained on ``blob_data(10)``, saved beside a CSV manifest of those rows."""
     x, labels = blob_data(10)
-    cfg = PipelineConfig((4, 3), (10.0, 10.0, 1e4), head="sit2", head_size=4, seed=0)
     path = tmp_path / "model.bin"
     save_model(hml_train(x, labels, cfg), path)
     lines = ["a,b,c,d,label"] + [",".join(map(str, row)) + f",{lbl}" for row, lbl in zip(x, labels)]
     (tmp_path / "rows.csv").write_text("\n".join(lines) + "\n")
     (tmp_path / "manifest.json").write_text(json.dumps({"type": "csv", "path": "rows.csv"}))
     return path
+
+
+@pytest.fixture
+def saved_model(tmp_path):
+    cfg = PipelineConfig((4, 3), (10.0, 10.0, 1e4), head="sit2", head_size=4, seed=0)
+    return save_with_manifest(tmp_path, cfg)
 
 
 def eval_args(path):
@@ -193,6 +198,20 @@ def test_corrupt_file_is_a_value_error_and_eval_exits_2(saved_model, name, capsy
         load_model(saved_model)
     assert main(eval_args(saved_model)) == 2
     assert str(saved_model) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("activation", ["tanh", "linear"])
+def test_elm_head_with_another_activation_is_refused(tmp_path, activation, capsys):
+    path = save_with_manifest(tmp_path, PipelineConfig((), (1e4,), head="elm", head_size=5, seed=0))
+    header, payload = split_file(path.read_bytes())
+    assert header["head"] == {"type": "elm", "activation": "sigmoid"}
+    header["head"]["activation"] = activation
+    path.write_bytes(join_file(header, payload))
+    with pytest.raises(ValueError, match=f"elm head activation '{activation}' is not sigmoid") as info:
+        load_model(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert main(eval_args(path)) == 2
+    assert str(path) in capsys.readouterr().err
 
 
 def test_truncated_file_is_a_value_error(saved_model):

@@ -1,3 +1,6 @@
+import importlib.util
+import pathlib
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from elmkit.elm import predict_labels
 from elmkit import sit2
 from elmkit.numerics import Rng, _solve_spd
+from elmkit.pipeline import PipelineConfig, hml_train
 from elmkit.sit2 import (
     STAGE_INITIALIZED,
     STAGE_REFINED,
@@ -49,22 +53,22 @@ def test_rejects_too_few_rules():
         sit2_train(x, t, 1, Rng(0))
 
 
-def test_collapsed_width_interval_skips_nothing_but_changes_nothing():
+def test_collapsed_width_interval_skips_nothing_but_changes_nothing(monkeypatch):
     # sigma_lower == sigma_upper: the refinement pass rebuilds the very same
     # hidden rows, so refined consequents match the initial ones
+    monkeypatch.setattr(sit2, "WIDTH_RATIO", (1.0, 1.0))
     x, t, _ = two_blobs()
-    refined = sit2_train(x, t, 3, Rng(5), c=1e4, width_ratio_range=(1.0, 1.0))
-    initial = sit2_train(
-        x, t, 3, Rng(5), c=1e4, width_ratio_range=(1.0, 1.0), refine=False
-    )
+    refined = sit2_train(x, t, 3, Rng(5), c=1e4)
+    initial = sit2_train(x, t, 3, Rng(5), c=1e4, refine=False)
     assert refined.stage == STAGE_REFINED and initial.stage == STAGE_INITIALIZED
     denom = np.abs(initial.consequents).max()
     assert np.abs(refined.consequents - initial.consequents).max() <= 1e-6 * denom
 
 
-def test_collapsed_width_prediction_is_type1_weighted_mean():
+def test_collapsed_width_prediction_is_type1_weighted_mean(monkeypatch):
+    monkeypatch.setattr(sit2, "WIDTH_RATIO", (1.0, 1.0))
     x, t, _ = two_blobs()
-    model = sit2_train(x, t, 3, Rng(5), c=1e4, width_ratio_range=(1.0, 1.0))
+    model = sit2_train(x, t, 3, Rng(5), c=1e4)
     scores = sit2_predict(model, x)
     lower, upper, _ = firing_batch(model.rules, x)
     np.testing.assert_array_equal(lower, upper)
@@ -222,3 +226,21 @@ def test_sit2_train_dual_path_holds_one_gram_buffer():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * 8 * p * p
+
+
+def test_benchmark_tracer_binds_sit2_train_by_name(monkeypatch):
+    # perfbench/spans.py binds each sit2_train call's arguments by name,
+    # defaults applied, and passes them to head_counts
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    )
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look their module up there
+    spec.loader.exec_module(spans)
+    x, t, labels = two_blobs()
+    tracer = spans.Tracer()
+    with tracer.recording(0):
+        hml_train(x, labels, PipelineConfig((), (1e4,), head="sit2", head_size=3))
+    # 3 rules on 2 inputs plus bias: a primal Gram of order 9, one initial and two class solves
+    expected = dict(zip(spans.HEAD_COUNTS, (9, 3, 3 * 9**3 / 3.0, 8 * 9**2)))
+    assert tracer.heads == [(0, expected)]

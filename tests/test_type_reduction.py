@@ -394,7 +394,7 @@ def head_scale_rows(seed, n_rows, n_inputs=300, n_rules=60, width_scale=(0.15, 0
     """Firings of a head-sized rule base on wide features, with linear consequents.
 
     Rules are drawn the way ``sit2_train`` draws them (widths grow with
-    sqrt(n_inputs)), with a narrower ``width_scale_range`` than its default
+    sqrt(n_inputs)), with a narrower width scale than ``sit2.WIDTH_SCALE``
     so that some rows need a fourth sweep; consequents are per-rule linear
     functions of the bias-extended input, as ``_consequent_values`` forms
     them.
