@@ -17,12 +17,14 @@ import numpy as np
 from .elm import sigmoid
 from .numerics import Rng, as_matrix, orthonormal_random, ridge_solve, unit_row
 
+# the activation each layer mode encodes with: only equal width skips the sigmoid
+ACTIVATIONS = {"compressed": "sigmoid", "equal": "linear", "sparse": "sigmoid"}
+
 
 @dataclass(frozen=True)
 class Autoencoder:
     beta: np.ndarray  # n_hidden x n_inputs; encode(x) = f(x @ beta.T)
     mode: str  # compressed | equal | sparse
-    activation: str  # linear for equal width, sigmoid otherwise
     c: float
     reconstruction_error: float  # relative Frobenius error on the training batch
     beta_orthogonality_gap: float  # max |beta' beta - I|; rounding-level for equal width
@@ -53,7 +55,7 @@ def ae_train(x, n_hidden: int, c: float, rng: Rng) -> Autoencoder:
         a = orthonormal_random(n_in, n_in, rng.split(0))
         h = x @ a  # only for the diagnostics below
         beta = np.ascontiguousarray(a.T)
-        mode, activation = "equal", "linear"
+        mode = "equal"
     else:
         if n_hidden < n_in:
             a = orthonormal_random(n_in, n_hidden, rng.split(0))
@@ -64,11 +66,10 @@ def ae_train(x, n_hidden: int, c: float, rng: Rng) -> Autoencoder:
         b = unit_row(n_hidden, rng.split(1))
         h = sigmoid(x @ a + b)
         beta = ridge_solve(h, x, c)
-        activation = "sigmoid"
     x_norm = np.linalg.norm(x)
     recon_err = float(np.linalg.norm(h @ beta - x) / x_norm) if x_norm > 0 else 0.0
     gap = float(np.abs(beta.T @ beta - np.eye(n_in)).max())
-    return Autoencoder(beta, mode, activation, float(c), recon_err, gap)
+    return Autoencoder(beta, mode, float(c), recon_err, gap)
 
 
 def ae_encode(ae: Autoencoder, x) -> np.ndarray:
@@ -77,7 +78,7 @@ def ae_encode(ae: Autoencoder, x) -> np.ndarray:
     if x.shape[1] != ae.n_inputs:
         raise ValueError(f"feature mismatch: layer expects {ae.n_inputs}, got {x.shape[1]}")
     z = x @ ae.beta.T
-    return sigmoid(z) if ae.activation == "sigmoid" else z
+    return sigmoid(z) if ACTIVATIONS[ae.mode] == "sigmoid" else z
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,9 @@ import sys
 import time
 from dataclasses import replace
 
-from .data import LabeledDataset, load_csv, load_idx, save_idx, split_train_test
+from .data import LabeledDataset, load_csv, load_idx, save_idx, split_train_test, write_atomic
 from .elm import predict_labels
-from .imaging import SegmentParams, read_ppm, segment_object, write_ppm
+from .imaging import read_ppm, segment_object, write_ppm
 from .metrics import (
     ConfusionMatrix,
     accuracy,
@@ -24,7 +24,7 @@ from .metrics import (
     simulate_streams,
     write_confusion_csv,
 )
-from .model_io import load_model, save_model, write_atomic
+from .model_io import load_model, save_model
 from .numerics import NumericalError, Rng
 from .pipeline import PipelineConfig, hml_predict, hml_train
 from .shapes import HUE_BAND, synth_shape_dataset
@@ -311,10 +311,9 @@ def cmd_synth(args) -> int:
 
 def cmd_segment(args) -> int:
     frame = read_ppm(args.image)
-    params = SegmentParams(threshold=args.threshold)
     hue_lo = HUE_BAND[0] if args.hue_lo is None else args.hue_lo
     hue_hi = HUE_BAND[1] if args.hue_hi is None else args.hue_hi
-    mask, centroid = segment_object(frame, hue_lo, hue_hi, params)
+    mask, centroid = segment_object(frame, hue_lo, hue_hi, args.threshold)
     if args.out:
         write_ppm(mask, args.out)
     print(json.dumps({"centroid_row": centroid[0], "centroid_col": centroid[1]}))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from dataclasses import dataclass
 
@@ -44,6 +45,22 @@ class LabeledDataset:
     @property
     def n_classes(self) -> int:
         return len(self.class_names)
+
+
+def write_atomic(path, chunks) -> None:
+    """Write the byte chunks to a temp file beside ``path``, then rename it onto ``path``."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
+    # mode 0o666 less the umask, as open(path, "wb") would create it
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        with os.fdopen(fd, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _read_exact(f, n, path, what):
@@ -88,12 +105,8 @@ def save_idx(pixels, labels, images_path, labels_path, rows: int, cols: int) -> 
     if labels.size != count:
         raise ValueError("one label per image required")
     quantized = np.clip(np.rint(pixels * 255.0), 0, 255).astype(np.uint8)
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">iiii", IDX_IMAGE_MAGIC, count, rows, cols))
-        f.write(quantized.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">ii", IDX_LABEL_MAGIC, count))
-        f.write(labels.tobytes())
+    write_atomic(images_path, [struct.pack(">iiii", IDX_IMAGE_MAGIC, count, rows, cols), quantized.tobytes()])
+    write_atomic(labels_path, [struct.pack(">ii", IDX_LABEL_MAGIC, count), labels.tobytes()])
 
 
 def load_csv(path) -> LabeledDataset:

@@ -1,8 +1,8 @@
 """Single-hidden-layer extreme learning machine with a ridge-solved readout.
 
 Hidden weights and biases are random and never tuned; only the linear
-readout is fit, in closed form.  This is both the standalone baseline
-classifier and the training primitive reused by the autoencoder stack.
+readout is fit, in closed form.  This is the baseline classifier and
+the pipeline's ``elm`` head; the autoencoders reuse only ``sigmoid``.
 """
 
 from __future__ import annotations

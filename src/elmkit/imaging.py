@@ -14,7 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+from .data import write_atomic
+
 CHANNEL_KINDS = ("rgb8", "binary", "hsv8")
+
+BLUR_SIZES = (3, 7)
+SAT_MIN = 0.15  # drops dark/washed-out pixels whose hue is meaningless
+VAL_MIN = 0.15
 
 
 @dataclass(frozen=True)
@@ -126,52 +132,32 @@ def write_ppm(img: ImageFrame, path) -> None:
         px = img.pixels
     else:
         px = np.repeat((img.pixels * 255).astype(np.uint8)[:, :, None], 3, axis=2)
-    with open(path, "wb") as f:
-        f.write(f"P6\n{img.width} {img.height}\n255\n".encode())
-        f.write(np.ascontiguousarray(px).tobytes())
-
-
-@dataclass(frozen=True)
-class SegmentParams:
-    blur1: int = 3
-    blur2: int = 7
-    threshold: float = 0.5  # fraction of the post-blur maximum
-    sat_min: float = 0.15  # drops dark/washed-out pixels whose hue is meaningless
-    val_min: float = 0.15
-
-    def __post_init__(self):
-        for name in ("blur1", "blur2"):
-            size = getattr(self, name)
-            if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
-                raise ValueError(f"{name} must be a positive integer, got {size!r}")
-        if not 0.0 < self.threshold <= 1.0:
-            raise ValueError(f"threshold must be in (0, 1], got {self.threshold!r}")
-        for name in ("sat_min", "val_min"):
-            level = getattr(self, name)
-            if not 0.0 <= level <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {level!r}")
+    write_atomic(path, [f"P6\n{img.width} {img.height}\n255\n".encode(), np.ascontiguousarray(px).tobytes()])
 
 
 def _box_blur(mask: np.ndarray, size: int) -> np.ndarray:
     return ndimage.uniform_filter(mask, size=size, mode="constant")
 
 
-def segment_object(img: ImageFrame, hue_lo: float, hue_hi: float, params: SegmentParams = SegmentParams()):
+def segment_object(img: ImageFrame, hue_lo: float, hue_hi: float, threshold: float = 0.5):
     """Isolate the largest in-band object; returns (binary mask, (row, col) centroid).
 
     ``hue_lo`` and ``hue_hi`` are degrees in [0, 360]; a range with
     hue_lo > hue_hi wraps around 0/360 (e.g. 330..30 selects reds).  The
     in-band test reads the same 8-bit hue, saturation and value as
     ``rgb_to_hsv``, but converts only the pixels that pass the value floor.
+    ``threshold`` is a fraction of the post-blur maximum.
     """
     if img.channels != "rgb8":
         raise ValueError(f"expected an rgb8 frame, got {img.channels}")
     if not (0.0 <= hue_lo <= 360.0 and 0.0 <= hue_hi <= 360.0):
         raise ValueError(f"hue bounds must be in [0, 360], got {hue_lo!r}, {hue_hi!r}")
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError(f"threshold must be in (0, 1], got {threshold!r}")
     px = img.pixels
     # value is the channel maximum over 255, so the value test is a lookup
     # on the 8-bit maximum, with the quantized value's own arithmetic
-    passes_value = np.rint(np.arange(256) / 255.0 * 255.0) / 255.0 >= params.val_min
+    passes_value = np.rint(np.arange(256) / 255.0 * 255.0) / 255.0 >= VAL_MIN
     bright = passes_value[np.maximum(np.maximum(px[..., 0], px[..., 1]), px[..., 2])]
     h8, s8, _ = _hsv8(px[bright])
     hue = h8 / 255.0 * 360.0
@@ -180,15 +166,15 @@ def segment_object(img: ImageFrame, hue_lo: float, hue_hi: float, params: Segmen
     else:
         in_band = (hue >= hue_lo) | (hue <= hue_hi)
     mask = np.zeros(bright.shape, dtype=np.float64)
-    mask[bright] = in_band & (s8 / 255.0 >= params.sat_min)
+    mask[bright] = in_band & (s8 / 255.0 >= SAT_MIN)
     if not mask.any():
         raise ValueError("no object in hue band")
-    for size in (params.blur1, params.blur2):
+    for size in BLUR_SIZES:
         mask = _box_blur(mask, size)
         peak = mask.max()
         if peak <= 0.0:
             raise ValueError("no object in hue band")
-        mask = (mask >= params.threshold * peak).astype(np.float64)
+        mask = (mask >= threshold * peak).astype(np.float64)
     labeled, n_components = ndimage.label(mask)
     if n_components == 0:
         raise ValueError("no object in hue band")

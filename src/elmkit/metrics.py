@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import write_atomic
 from .numerics import Rng, as_matrix
 
 
@@ -64,10 +65,8 @@ def per_class_accuracy(cm: ConfusionMatrix) -> np.ndarray:
 
 def write_confusion_csv(cm: ConfusionMatrix, path) -> None:
     names = cm.class_names or tuple(str(i) for i in range(cm.n_classes))
-    with open(path, "w", newline="") as f:
-        f.write(",".join(names) + "\n")
-        for row in cm.counts:
-            f.write(",".join(str(int(v)) for v in row) + "\n")
+    lines = [",".join(names)] + [",".join(str(int(v)) for v in row) for row in cm.counts]
+    write_atomic(path, [(line + "\n").encode() for line in lines])
 
 
 @dataclass(frozen=True)

@@ -12,21 +12,20 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
-import tempfile
 
 import numpy as np
 
-from .autoencoder import Autoencoder, FeatureStack
+from .autoencoder import ACTIVATIONS, Autoencoder, FeatureStack
+from .data import write_atomic
 from .elm import ElmModel
 from .pipeline import FeatureScaler, HmlModel, PipelineConfig, TrainMetrics
-from .sit2 import Sit2Model
+from .sit2 import STAGE_INITIALIZED, STAGE_REFINED, Sit2Model
 from .type_reduction import It2RuleBase
 
 MAGIC = b"ELMKITM\x01"
 FORMAT_VERSION = 1
 # per-layer header fields, in Autoencoder constructor order after beta
-LAYER_FIELDS = ("mode", "activation", "c", "reconstruction_error", "beta_orthogonality_gap")
+LAYER_FIELDS = ("mode", "c", "reconstruction_error", "beta_orthogonality_gap")
 # the arrays each head type writes and reads, in its constructor's order,
 # besides the scaler's and one per layer
 HEAD_ARRAYS = {
@@ -34,6 +33,14 @@ HEAD_ARRAYS = {
     "elm": ("head.input_weights", "head.biases", "head.output_weights"),
     "ridge": ("head.weights",),
 }
+
+
+def _restore_layer(i, meta, arrays, path) -> Autoencoder:
+    if meta["mode"] not in ACTIVATIONS:
+        raise ValueError(f"{path}: layer {i} has unknown mode {meta['mode']!r}")
+    if meta["activation"] != ACTIVATIONS[meta["mode"]]:
+        raise ValueError(f"{path}: layer {i} activation {meta['activation']!r} does not match its {meta['mode']} mode")
+    return Autoencoder(arrays[f"stack.{i}.beta"], *(meta[k] for k in LAYER_FIELDS))
 
 
 def _array_bytes(a: np.ndarray) -> bytes:
@@ -60,27 +67,14 @@ def _restore_head(meta, arrays, path):
     values = [arrays[name] for name in HEAD_ARRAYS[meta["type"]]]
     if meta["type"] == "sit2":
         *rule_arrays, consequents = values
+        if meta["stage"] not in (STAGE_INITIALIZED, STAGE_REFINED):
+            raise ValueError(f"{path}: unknown sit2 head stage {meta['stage']!r}")
         return Sit2Model(It2RuleBase(*rule_arrays), consequents, meta["stage"])
     if meta["type"] == "elm":
         if meta["activation"] != "sigmoid":
             raise ValueError(f"{path}: elm head activation {meta['activation']!r} is not sigmoid")
         return ElmModel(*values)
     return values[0]
-
-
-def write_atomic(path, chunks) -> None:
-    """Write the byte chunks to a temp file beside ``path``, then rename it onto ``path``."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            for chunk in chunks:
-                f.write(chunk)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def save_model(model: HmlModel, path) -> None:
@@ -91,7 +85,7 @@ def save_model(model: HmlModel, path) -> None:
     layer_meta = []
     for i, ae in enumerate(model.stack.layers):
         arrays[f"stack.{i}.beta"] = ae.beta
-        layer_meta.append({k: getattr(ae, k) for k in LAYER_FIELDS})
+        layer_meta.append({"activation": ACTIVATIONS[ae.mode], **{k: getattr(ae, k) for k in LAYER_FIELDS}})
     names = sorted(arrays)
     sections = []
     offset = 0
@@ -172,10 +166,7 @@ def load_model(path) -> HmlModel:
         if unread:
             raise ValueError(f"{path}: arrays {unread} are not read by a {head_type} model")
         scaler = FeatureScaler(arrays["scaler.offset"], arrays["scaler.span"])
-        layers = [
-            Autoencoder(arrays[f"stack.{i}.beta"], *(meta[k] for k in LAYER_FIELDS))
-            for i, meta in enumerate(header["stack_layers"])
-        ]
+        layers = [_restore_layer(i, meta, arrays, path) for i, meta in enumerate(header["stack_layers"])]
         head = _restore_head(header["head"], arrays, path)
         config = PipelineConfig.from_dict(header["config"])
         metrics = TrainMetrics(0.0, 0.0, header["train_accuracy"])

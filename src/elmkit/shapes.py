@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset
-from .imaging import ImageFrame, SegmentParams, extract_patch, hsv_to_rgb_units, segment_object
+from .imaging import ImageFrame, extract_patch, hsv_to_rgb_units, segment_object
 from .numerics import Rng
 
 SHAPE_KINDS = ("box", "circle", "triangle", "irregular")
@@ -107,7 +107,6 @@ def synth_shape_dataset(
     rng: Rng,
     frame_shape=(120, 120),
     side: int = 52,
-    params: SegmentParams = SegmentParams(),
     keep_frames: int = 0,
 ):
     """Generate frames for every shape kind and push them through segmentation.
@@ -124,7 +123,7 @@ def synth_shape_dataset(
     margin = int(np.ceil(scale_hi)) + 6
     if 2 * margin >= min(h, w):
         raise ValueError(f"frame {h}x{w} is too small for the pose margins")
-    gen = Rng(rng.seed, rng.stream).split(0).generator()
+    gen = rng.split(0).generator()
     rows, labels, samples = [], [], []
     frame_idx = 0
     for class_idx, kind in enumerate(SHAPE_KINDS):
@@ -139,7 +138,7 @@ def synth_shape_dataset(
             )
             frame, label = synth_shape(kind, pose, noise_level, rng.split(1 + frame_idx), frame_shape)
             frame_idx += 1
-            mask, centroid = segment_object(frame, *HUE_BAND, params)
+            mask, centroid = segment_object(frame, *HUE_BAND)
             rows.append(extract_patch(mask, centroid, side))
             labels.append(label)
             if i < keep_frames:

@@ -19,7 +19,6 @@ def batch():
 def test_equal_mode_reconstructs_training_batch(batch):
     ae = ae_train(batch, 4, 1e6, Rng(1))
     assert ae.mode == "equal"
-    assert ae.activation == "linear"
     assert ae.reconstruction_error < 1e-6
 
 
@@ -59,7 +58,7 @@ def test_equal_layer_encode_is_pure_rotation(batch):
 
 
 def test_identity_beta_encodes_identically(batch):
-    ae = Autoencoder(np.eye(4), "equal", "linear", 1.0, 0.0, 0.0)
+    ae = Autoencoder(np.eye(4), "equal", 1.0, 0.0, 0.0)
     np.testing.assert_allclose(ae_encode(ae, batch), batch, rtol=0, atol=0)
 
 

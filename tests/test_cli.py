@@ -206,6 +206,8 @@ def test_synth_then_train_then_eval(tmp_path):
                  "--out", out, "--seed", "1"]) == 0
     assert main(["eval", "--model", out, "--data", str(manifest),
                  "--out", str(tmp_path / "ev")]) == 0
+    assert sorted(p.name for p in (tmp_path / "ev").iterdir()) == ["confusion.csv", "metrics.json"]
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_segment_cli(tmp_path, capsys):
@@ -218,7 +220,7 @@ def test_segment_cli(tmp_path, capsys):
     centroid = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert abs(centroid["centroid_row"] - 27) <= 1
     assert abs(centroid["centroid_col"] - 32) <= 1
-    assert (tmp_path / "mask.ppm").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.ppm", "mask.ppm"]
 
 
 def test_segment_cli_rejects_zero_threshold(tmp_path, capsys):

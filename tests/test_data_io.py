@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from elmkit.data import (
     load_idx,
     save_idx,
     split_train_test,
+    write_atomic,
 )
 from elmkit.numerics import Rng
 
@@ -112,3 +116,29 @@ def test_split_rejects_bad_fraction():
     ds = LabeledDataset(np.zeros((4, 1)), [0, 1, 0, 1], ("a", "b"))
     with pytest.raises(ValueError, match="test_fraction"):
         split_train_test(ds, 1.5, Rng(0))
+
+
+def test_write_atomic_failure_leaves_the_old_file_and_no_temp_file(tmp_path):
+    target = tmp_path / "out.bin"
+    target.write_bytes(b"old contents")
+
+    def chunks():
+        yield b"new "
+        raise RuntimeError("writer failed")
+
+    with pytest.raises(RuntimeError, match="writer failed"):
+        write_atomic(target, chunks())
+    assert target.read_bytes() == b"old contents"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
+
+
+def test_write_atomic_gives_the_mode_open_gives(tmp_path):
+    old = os.umask(0o027)
+    try:
+        write_atomic(tmp_path / "atomic", [b"x"])
+        with open(tmp_path / "plain", "wb") as f:
+            f.write(b"x")
+    finally:
+        os.umask(old)
+    modes = {stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in ("atomic", "plain")}
+    assert len(modes) == 1

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from elmkit import imaging
 from elmkit.imaging import (
     ImageFrame,
-    SegmentParams,
     extract_patch,
     read_ppm,
     rgb_to_hsv,
@@ -109,9 +109,8 @@ def test_segment_translation_equivariance():
 
 def test_segment_threshold_param_respected():
     frame = solid_square_frame()
-    strict = SegmentParams(threshold=0.95)
     mask_default, _ = segment_object(frame, 330.0, 30.0)
-    mask_strict, _ = segment_object(frame, 330.0, 30.0, strict)
+    mask_strict, _ = segment_object(frame, 330.0, 30.0, 0.95)
     assert mask_strict.pixels.sum() <= mask_default.pixels.sum()
 
 
@@ -199,7 +198,7 @@ def reference_hsv(px):
     return np.stack(planes, axis=2).astype(np.uint8)
 
 
-def reference_segment(px, hue_lo, hue_hi, params):
+def reference_segment(px, hue_lo, hue_hi, sat_min, val_min):
     """Segmentation through the full float HSV frame; returns (mask, centroid) or the error text."""
     hsv = reference_hsv(px).astype(np.float64)
     hue = hsv[..., 0] / 255.0 * 360.0
@@ -209,15 +208,15 @@ def reference_segment(px, hue_lo, hue_hi, params):
         in_band = (hue >= hue_lo) & (hue <= hue_hi)
     else:
         in_band = (hue >= hue_lo) | (hue <= hue_hi)
-    mask = (in_band & (sat >= params.sat_min) & (val >= params.val_min)).astype(np.float64)
+    mask = (in_band & (sat >= sat_min) & (val >= val_min)).astype(np.float64)
     if not mask.any():
         return "no object in hue band"
-    for size in (params.blur1, params.blur2):
+    for size in (3, 7):
         mask = ndimage.uniform_filter(mask, size=size, mode="constant")
         peak = mask.max()
         if peak <= 0.0:
             return "no object in hue band"
-        mask = (mask >= params.threshold * peak).astype(np.float64)
+        mask = (mask >= 0.5 * peak).astype(np.float64)
     labeled, n = ndimage.label(mask)
     if n == 0:
         return "no object in hue band"
@@ -238,7 +237,7 @@ def _test_frame(gen, kind):
     return gen.integers(36, 52, (h, w, 3), dtype=np.uint8)  # values near the 0.15 floor
 
 
-def test_segment_matches_whole_frame_hsv_reference():
+def test_segment_matches_whole_frame_hsv_reference(monkeypatch):
     gen = np.random.default_rng(20261018)
     levels = [0.0, 38 / 255, 39 / 255, 0.15, 1.0]
     bands = [(330.0, 30.0), (0.0, 360.0), (0.0, 0.0), (90.0, 200.0), (200.0, 90.0), (360.0, 0.0)]
@@ -246,17 +245,19 @@ def test_segment_matches_whole_frame_hsv_reference():
     for i in range(900):
         px = _test_frame(gen, ("uniform", "grays", "near-floor")[i % 3])
         band = bands[i % len(bands)] if i % 2 else tuple(float(v) for v in gen.uniform(0.0, 360.0, 2))
-        params = SegmentParams(sat_min=float(gen.choice(levels)), val_min=float(gen.choice(levels)))
-        expected = reference_segment(px, *band, params)
+        floors = float(gen.choice(levels)), float(gen.choice(levels))
+        monkeypatch.setattr(imaging, "SAT_MIN", floors[0])
+        monkeypatch.setattr(imaging, "VAL_MIN", floors[1])
+        expected = reference_segment(px, *band, *floors)
         try:
-            mask, centroid = segment_object(ImageFrame(px, "rgb8"), *band, params)
+            mask, centroid = segment_object(ImageFrame(px, "rgb8"), *band)
         except ValueError as e:
-            assert str(e) == expected, (i, band, params)
+            assert str(e) == expected, (i, band, floors)
             continue
         found += 1
-        assert not isinstance(expected, str), (i, band, params)
-        assert mask.pixels.tobytes() == expected[0].tobytes(), (i, band, params)
-        assert centroid == expected[1], (i, band, params)
+        assert not isinstance(expected, str), (i, band, floors)
+        assert mask.pixels.tobytes() == expected[0].tobytes(), (i, band, floors)
+        assert centroid == expected[1], (i, band, floors)
     assert 300 < found < 900  # both outcomes are exercised
 
 
@@ -281,19 +282,11 @@ def test_patch_digest_is_pinned():
         {"threshold": -1.0},
         {"threshold": 1.5},
         {"threshold": float("nan")},
-        {"blur1": 0},
-        {"blur2": -3},
-        {"blur1": 2.5},
-        {"blur2": True},
-        {"sat_min": float("nan")},
-        {"sat_min": -0.1},
-        {"val_min": float("inf")},
-        {"val_min": 1.5},
     ],
 )
 def test_segment_params_reject_out_of_range(kwargs):
-    with pytest.raises(ValueError, match=next(iter(kwargs))):
-        SegmentParams(**kwargs)
+    with pytest.raises(ValueError, match=r"threshold must be in \(0, 1\]"):
+        segment_object(solid_square_frame(), 330.0, 30.0, **kwargs)
 
 
 @pytest.mark.parametrize("band", [(float("nan"), 30.0), (330.0, float("nan")), (-1.0, 30.0), (330.0, 361.0), (0.0, float("inf"))])

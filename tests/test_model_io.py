@@ -97,15 +97,20 @@ def join_file(header, payload: bytes) -> bytes:
     return MAGIC + len(blob).to_bytes(4, "little") + blob + payload
 
 
-def _edit_sections(edit):
-    """Corruption that applies ``edit`` to the header's section list in place."""
+def _edit_header(edit):
+    """Corruption that applies ``edit`` to the header in place."""
 
     def corrupt(raw):
         header, payload = split_file(raw)
-        edit(header["arrays"])
+        edit(header)
         return join_file(header, payload)
 
     return corrupt
+
+
+def _edit_sections(edit):
+    """Corruption that applies ``edit`` to the header's section list in place."""
+    return _edit_header(lambda header: edit(header["arrays"]))
 
 
 def _set(i, key, value):
@@ -128,6 +133,10 @@ def _add_unread_array(raw):
     header, payload = split_file(raw)
     header["arrays"].append({"name": "head.extra", "shape": [1], "offset": len(payload), "nbytes": 8})
     return join_file(header, payload + bytes(8))
+
+
+def _set_layer(i, key, value):
+    return _edit_header(lambda header: header["stack_layers"][i].__setitem__(key, value))
 
 
 def _bad_header(blob: bytes):
@@ -155,6 +164,12 @@ CORRUPTIONS = {
     "header-not-json": _bad_header(b"{x}"),
     "header-not-utf8": _bad_header(b'{"a":"\xff"}'),
     "unread-array": _add_unread_array,
+    # the saved_model stack is an equal layer, then a compressed one
+    "unknown-layer-mode": _set_layer(1, "mode", "bogus"),
+    "compressed-layer-tanh": _set_layer(1, "activation", "tanh"),
+    "compressed-layer-linear": _set_layer(1, "activation", "linear"),
+    "equal-layer-sigmoid": _set_layer(0, "activation", "sigmoid"),
+    "unknown-head-stage": _edit_header(lambda header: header["head"].__setitem__("stage", "bogus")),
     # true == 1, so the section still tiles the payload
     "boolean-dimension": _edit_sections(
         lambda sections: next(s for s in sections if s["name"] == "scaler.offset")["shape"].append(True)
@@ -232,6 +247,10 @@ def test_truncated_file_is_a_value_error(saved_model):
         ("header-not-utf8", "header is not valid JSON"),
         ("unread-array", r"arrays \['head.extra'\] are not read by a sit2 model"),
         ("boolean-dimension", "malformed shape"),
+        ("unknown-layer-mode", "layer 1 has unknown mode 'bogus'"),
+        ("compressed-layer-tanh", "layer 1 activation 'tanh' does not match its compressed mode"),
+        ("equal-layer-sigmoid", "layer 0 activation 'sigmoid' does not match its equal mode"),
+        ("unknown-head-stage", "unknown sit2 head stage 'bogus'"),
     ],
 )
 def test_header_faults_name_the_file_and_the_fault(saved_model, name, message):
