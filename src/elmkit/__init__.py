@@ -29,7 +29,6 @@ from .pipeline import (
     hml_predict,
     hml_train,
     one_hot,
-    retrain_head,
 )
 from .shapes import SHAPE_KINDS, ShapePose, synth_shape, synth_shape_dataset
 from .sit2 import Sit2Model, sit2_predict, sit2_train
@@ -38,9 +37,7 @@ from .type_reduction import (
     It2RuleBase,
     ReducedInterval,
     brute_force_cos,
-    defuzz,
     ekm_reduce,
-    firing_strengths,
     nt_defuzz,
     sc_reduce,
 )

@@ -33,10 +33,6 @@ class Autoencoder:
     def n_inputs(self) -> int:
         return self.beta.shape[1]
 
-    @property
-    def n_hidden(self) -> int:
-        return self.beta.shape[0]
-
 
 def ae_train(x, n_hidden: int, c: float, rng: Rng) -> Autoencoder:
     """Fit one autoencoder layer on x.
@@ -84,13 +80,6 @@ def ae_encode(ae: Autoencoder, x) -> np.ndarray:
 @dataclass(frozen=True)
 class FeatureStack:
     layers: tuple[Autoencoder, ...]
-
-    @property
-    def layer_sizes(self) -> tuple[int, ...]:
-        """[n_inputs, width_1, ..., width_L]; () for a stack without layers."""
-        if not self.layers:
-            return ()
-        return (self.layers[0].n_inputs,) + tuple(ae.n_hidden for ae in self.layers)
 
 
 def stack_train(x, layer_sizes, cs, rng: Rng) -> FeatureStack:

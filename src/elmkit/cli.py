@@ -66,7 +66,8 @@ def load_manifest(path) -> LabeledDataset:
     if kind == "idx":
         ds = load_idx(file_field("images"), file_field("labels"))
         if "class_names" in manifest:
-            names = field("class_names", lambda v: isinstance(v, list), "a list of names")
+            names = field("class_names", lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v),
+                          "a list of strings")
             ds = LabeledDataset(ds.x, ds.labels, tuple(names))
         return ds
     if kind == "csv":
@@ -117,10 +118,13 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = load_model(args.model)
     ds = load_manifest(args.data)
-    os.makedirs(args.out, exist_ok=True)
     t0 = time.perf_counter()
     scores = hml_predict(model, ds.x)
     seconds_per_frame = (time.perf_counter() - t0) / max(ds.n_samples, 1)
+    if ds.n_classes < scores.shape[1]:
+        raise ValueError(f"manifest {args.data} has {ds.n_classes} classes, fewer than the "
+                         f"{scores.shape[1]} that model {args.model} scores")
+    os.makedirs(args.out, exist_ok=True)
     pred = predict_labels(scores)
     cm = ConfusionMatrix.from_predictions(ds.labels, pred, ds.n_classes, ds.class_names)
     confusion_path = os.path.join(args.out, "confusion.csv")

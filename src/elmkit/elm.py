@@ -29,10 +29,6 @@ class ElmModel:
     def n_features(self) -> int:
         return self.input_weights.shape[0]
 
-    @property
-    def n_classes(self) -> int:
-        return self.output_weights.shape[1]
-
 
 def elm_train(x, t, n_hidden: int, c: float, rng: Rng) -> ElmModel:
     """Train on one-hot targets t (0/1, one 1 per row) with a sigmoid hidden layer.

@@ -169,6 +169,10 @@ def load_model(path) -> HmlModel:
         layers = [_restore_layer(i, meta, arrays, path) for i, meta in enumerate(header["stack_layers"])]
         head = _restore_head(header["head"], arrays, path)
         config = PipelineConfig.from_dict(header["config"])
+        widths = tuple(ae.beta.shape[0] for ae in layers)
+        if config.head != head_type or config.layer_sizes != widths:
+            raise ValueError(f"{path}: header config (head {config.head!r}, layer_sizes {list(config.layer_sizes)}) "
+                             f"does not match the stored {head_type} head and layer widths {list(widths)}")
         metrics = TrainMetrics(0.0, 0.0, header["train_accuracy"])
         return HmlModel(scaler, FeatureStack(tuple(layers)), head, config, header["n_classes"], metrics)
     except (KeyError, TypeError) as e:

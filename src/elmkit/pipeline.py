@@ -3,15 +3,15 @@
 Training has two independent phases: the stack learns feature encodings
 without seeing labels, then a head (fuzzy TSK, plain ridge, or a random
 hidden-layer baseline) is fit on the encoded features.  Nothing is tuned
-across the boundary, so a head can be retrained without touching the
-stack.  Feature scaling to [0, 1] is frozen from the training split.
+across the boundary.  Feature scaling to [0, 1] is frozen from the
+training split.
 """
 
 from __future__ import annotations
 
 import numbers
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -161,17 +161,6 @@ def one_hot(labels, n_classes: int) -> np.ndarray:
     return np.eye(n_classes)[labels]
 
 
-def _fit_head(scaler, stack, xs, labels, n_classes, config, stack_seconds) -> HmlModel:
-    """Encode the scaled rows, fit the config's head on them, and assemble the model."""
-    t0 = time.perf_counter()
-    feats = stack_transform(stack, xs)
-    head = _head_train(feats, one_hot(labels, n_classes), config, Rng(config.seed).split(1))
-    t1 = time.perf_counter()
-    accuracy = float((predict_labels(_head_predict(head, feats)) == labels).mean())
-    metrics = TrainMetrics(stack_seconds, t1 - t0, accuracy)
-    return HmlModel(scaler, stack, head, config, n_classes, metrics)
-
-
 def hml_train(x, labels, config: PipelineConfig) -> HmlModel:
     """Standardize, train the stack, then fit the head on encoded features."""
     x = as_matrix(x, "x")
@@ -185,17 +174,13 @@ def hml_train(x, labels, config: PipelineConfig) -> HmlModel:
     xs = scaler.transform(x)
     t0 = time.perf_counter()
     stack = stack_train(xs, config.layer_sizes, config.cs[:-1], Rng(config.seed).split(0))
-    return _fit_head(scaler, stack, xs, labels, n_classes, config, time.perf_counter() - t0)
-
-
-def retrain_head(model: HmlModel, x, labels, seed: int | None = None) -> HmlModel:
-    """Fit a fresh head on the existing (untouched) stack."""
-    x = as_matrix(x, "x")
-    labels = np.asarray(labels, dtype=np.int64).ravel()
-    config = model.config if seed is None else replace(model.config, seed=seed)
-    xs = model.scaler.transform(x)
-    stack_seconds = model.metrics.stack_seconds
-    return _fit_head(model.scaler, model.stack, xs, labels, model.n_classes, config, stack_seconds)
+    t1 = time.perf_counter()
+    feats = stack_transform(stack, xs)
+    head = _head_train(feats, one_hot(labels, n_classes), config, Rng(config.seed).split(1))
+    t2 = time.perf_counter()
+    accuracy = float((predict_labels(_head_predict(head, feats)) == labels).mean())
+    metrics = TrainMetrics(t1 - t0, t2 - t1, accuracy)
+    return HmlModel(scaler, stack, head, config, n_classes, metrics)
 
 
 def hml_predict(model: HmlModel, x) -> np.ndarray:

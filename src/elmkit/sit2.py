@@ -164,7 +164,7 @@ def sit2_train(
     sigma_lower = gen.uniform(*WIDTH_RATIO, size=n_rules) * sigma_upper
     rules = It2RuleBase(centers, sigma_lower, sigma_upper)
 
-    lower, upper, _ = firing_batch(rules, x)
+    lower, upper = firing_batch(rules, x)
     xb = _with_bias(x)
     phi0 = lower + upper
     phi0 /= phi0.sum(axis=1, keepdims=True)
@@ -194,7 +194,7 @@ def sit2_predict(model: Sit2Model, x, reducer: str = "sc") -> np.ndarray:
         raise ValueError(f"feature mismatch: model expects {model.n_inputs}, got {x.shape[1]}")
     if reducer not in ("sc", "ekm"):
         raise ValueError(f"unknown reducer {reducer!r}")
-    lower, upper, _ = firing_batch(model.rules, x)
+    lower, upper = firing_batch(model.rules, x)
     xb = _with_bias(x)
     scores = np.empty((x.shape[0], model.n_outputs))
     for i in range(model.n_outputs):

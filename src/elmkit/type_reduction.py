@@ -102,25 +102,13 @@ class ReducedInterval:
     z_r: np.ndarray
 
 
-def firing_strengths(rules: It2RuleBase, x) -> FiringInterval:
-    """Firing interval for a single input vector: a one-row ``firing_batch``."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.size != rules.n_inputs:
-        raise ValueError(f"input has {x.size} values, rules expect {rules.n_inputs}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input contains NaN or Inf")
-    lower, upper, _ = firing_batch(rules, x[None])
-    return FiringInterval(lower[0], upper[0])
-
-
-def firing_batch(rules: It2RuleBase, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def firing_batch(rules: It2RuleBase, x) -> tuple[np.ndarray, np.ndarray]:
     """Product-of-Gaussians firing intervals, one row per sample.
 
-    Returns (lower, upper, shifts) with lower/upper of shape (n_samples,
-    n_rules).  Each row is evaluated in log space and shifted by its own
-    constant (returned in ``shifts``) so its largest upper strength is
-    exactly 1; the shift is harmless by scale invariance and keeps
-    thousand-dimensional products from underflowing.
+    Returns (lower, upper), each of shape (n_samples, n_rules).  Each row
+    is evaluated in log space and shifted by its own constant so its
+    largest upper strength is exactly 1; the shift is harmless by scale
+    invariance and keeps thousand-dimensional products from underflowing.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != rules.n_inputs:
@@ -134,7 +122,7 @@ def firing_batch(rules: It2RuleBase, x) -> tuple[np.ndarray, np.ndarray, np.ndar
     shifts = log_upper.max(axis=1) if p else np.zeros(0)
     lower = np.exp(log_lower - shifts[:, None])
     upper = np.exp(log_upper - shifts[:, None])
-    return lower, upper, shifts
+    return lower, upper
 
 
 def _validated(f: FiringInterval, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -371,8 +359,3 @@ def sc_reduce_batch(lower: np.ndarray, upper: np.ndarray, w: np.ndarray):
         ys[live] = (u * ww).sum(axis=1) / u.sum(axis=1)
         zs[live] = z
     return y_l, y_r, z_l, z_r
-
-
-def defuzz(r: ReducedInterval) -> float:
-    """Collapse the reduced interval to its midpoint."""
-    return 0.5 * (r.y_l + r.y_r)

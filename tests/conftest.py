@@ -8,6 +8,8 @@ from elmkit.pipeline import FeatureScaler, PipelineConfig, hml_predict, hml_trai
 from elmkit.shapes import synth_shape_dataset
 
 SHAPES_CONFIG = PipelineConfig((256, 256), (1e3, 1e7, 1e8), head="sit2", head_size=40, seed=1)
+# the digits config, as the digits-proxy benchmark workload trains it
+DIGITS_CONFIG = PipelineConfig((300, 300), (1e-1, 1e4, 1e8), head="sit2", head_size=60, seed=1)
 
 
 @pytest.fixture(scope="session")

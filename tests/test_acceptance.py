@@ -6,8 +6,10 @@ disk (see README); it is skipped, with instructions, when they are absent.
 """
 
 import gzip
+import importlib.util
 import json
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -37,7 +39,7 @@ from elmkit.type_reduction import (
     sc_reduce,
 )
 
-from conftest import SHAPES_CONFIG
+from conftest import DIGITS_CONFIG, SHAPES_CONFIG
 
 MNIST_FILES = (
     "train-images-idx3-ubyte",
@@ -279,7 +281,7 @@ def test_degenerate_fou_stage_equivalence(monkeypatch):
     ok_stages = gap <= 1e-6
 
     scores = sit2_predict(refined, x)
-    lower, upper, _ = firing_batch(refined.rules, x)
+    lower, upper = firing_batch(refined.rules, x)
     xb = _with_bias(x)
     worst = 0.0
     for i in range(3):
@@ -317,7 +319,7 @@ def test_training_is_byte_deterministic(tmp_path):
     assert same
 
 
-# Train on saved patches and save what the thread-count test compares; run
+# Train on saved rows and save what the thread-count tests compare; run
 # in a fresh interpreter because OpenBLAS reads its thread count at load.
 _TRAIN_AND_SAVE = """
 import json, sys
@@ -334,11 +336,10 @@ np.savez(out, mode=layer.mode, beta=layer.beta, consequents=model.head.consequen
 """
 
 
-def test_training_does_not_depend_on_blas_threads(tmp_path):
-    ds, _ = synth_shape_dataset(300, 0.25, Rng(42))
-    train, test = split_train_test(ds, 0.3, Rng(43))
-    data = tmp_path / "patches.npz"
-    np.savez(data, x_train=train.x, y_train=train.labels, x_test=test.x)
+def _train_under_one_and_two_blas_threads(tmp_path, x_train, y_train, x_test, config):
+    """Both runs' saved arrays, the relative consequent drift, and whether the test labels agree."""
+    data = tmp_path / "rows.npz"
+    np.savez(data, x_train=x_train, y_train=y_train, x_test=x_test)
     src = os.path.dirname(os.path.dirname(elmkit.__file__))
     runs = []
     for threads in (1, 2):
@@ -347,21 +348,53 @@ def test_training_does_not_depend_on_blas_threads(tmp_path):
         out = tmp_path / f"threads{threads}.npz"
         subprocess.run(
             [sys.executable, "-c", _TRAIN_AND_SAVE, str(data),
-             json.dumps(SHAPES_CONFIG.to_dict()), str(out)],
+             json.dumps(config.to_dict()), str(out)],
             env=env, check=True, timeout=600,
         )
         with np.load(out) as saved:
             runs.append(dict(saved))
     one, two = runs
+    drift = np.abs(one["consequents"] - two["consequents"]).max() / np.abs(one["consequents"]).max()
+    return one, two, drift, np.array_equal(one["labels"], two["labels"])
+
+
+def test_training_does_not_depend_on_blas_threads(tmp_path):
+    ds, _ = synth_shape_dataset(300, 0.25, Rng(42))
+    train, test = split_train_test(ds, 0.3, Rng(43))
+    one, two, drift, same_labels = _train_under_one_and_two_blas_threads(
+        tmp_path, train.x, train.labels, test.x, SHAPES_CONFIG
+    )
     assert str(one["mode"]) == "equal"
     same_beta = one["beta"].tobytes() == two["beta"].tobytes()
-    drift = np.abs(one["consequents"] - two["consequents"]).max() / np.abs(one["consequents"]).max()
-    same_labels = np.array_equal(one["labels"], two["labels"])
     ok = same_beta and drift < 1e-6 and same_labels
     verdict(
         "BLAS thread-count invariance",
         ok,
         f"1 vs 2 OpenBLAS threads: equal-layer beta bitwise equal {same_beta}, "
+        f"consequent drift {drift:.1e} (< 1e-6 relative), identical labels {same_labels}",
+    )
+    assert ok
+
+
+def test_digits_training_does_not_depend_on_blas_threads(tmp_path):
+    # the proxy rows of the digits-proxy benchmark workload, loaded by path
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_digits_proxy", pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "digits_proxy.py"
+    )
+    digits_proxy = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digits_proxy)
+    x, labels = digits_proxy.make_rows(4000, (7, 0))
+    one, two, drift, same_labels = _train_under_one_and_two_blas_threads(
+        tmp_path, x[:3000], labels[:3000], x[3000:], DIGITS_CONFIG
+    )
+    assert str(one["mode"]) == "equal"
+    # the equal layer's weights follow a BLAS-computed rotation, so they are reported, not pinned bitwise
+    beta_diff = np.abs(one["beta"] - two["beta"]).max()
+    ok = drift < 1e-6 and same_labels
+    verdict(
+        "BLAS thread-count invariance, digits config",
+        ok,
+        f"1 vs 2 OpenBLAS threads: equal-layer beta max difference {beta_diff:.1e}, "
         f"consequent drift {drift:.1e} (< 1e-6 relative), identical labels {same_labels}",
     )
     assert ok

@@ -64,7 +64,7 @@ def test_identity_beta_encodes_identically(batch):
 
 def test_stack_accepts_empty_layer_list(batch):
     stack = stack_train(batch, [], [], Rng(0))
-    assert stack.layers == () and stack.layer_sizes == ()
+    assert stack.layers == ()
     assert stack_transform(stack, batch).tobytes() == batch.tobytes()
 
 
@@ -81,7 +81,7 @@ def test_single_equal_layer_round_trip(batch):
 
 def test_stack_chains_dimensions(batch):
     stack = stack_train(batch, [3, 5, 2], [10.0, 10.0, 10.0], Rng(5))
-    assert stack.layer_sizes == (4, 3, 5, 2)
+    assert [ae.beta.shape for ae in stack.layers] == [(3, 4), (5, 3), (2, 5)]
     assert stack_transform(stack, batch).shape == (10, 2)
 
 

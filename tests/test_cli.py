@@ -115,6 +115,32 @@ def test_eval_feature_mismatch(blob_manifest, tmp_path, capsys):
     assert "feature mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["idx", "csv"])
+def test_eval_with_fewer_data_classes_than_model_is_usage_error(blob_manifest, kind, capsys):
+    # an IDX manifest without class_names counts classes up to its largest
+    # label, and a CSV one indexes its sorted label names, so test rows
+    # lacking the last class would otherwise be scored against shifted labels
+    tmp, manifest, config = blob_manifest
+    out = str(tmp / "model.bin")
+    assert main(["train", "--config", config, "--data", manifest, "--out", out, "--seed", "5"]) == 0
+    gen = Rng(1).generator()
+    x, labels = gen.uniform(0, 1, (6, 36)), [0, 1, 0, 1, 0, 1]
+    few = tmp / "few_manifest.json"
+    if kind == "idx":
+        save_idx(x, labels, tmp / "f.idx", tmp / "fy.idx", 6, 6)
+        few.write_text(json.dumps({"type": "idx", "images": "f.idx", "labels": "fy.idx"}))
+    else:
+        lines = [",".join([*(f"p{i}" for i in range(36)), "label"])]
+        lines += [",".join([*map(str, row), "bc"[lbl]]) for row, lbl in zip(x, labels)]
+        (tmp / "few.csv").write_text("\n".join(lines) + "\n")
+        few.write_text(json.dumps({"type": "csv", "path": "few.csv"}))
+    rc = main(["eval", "--model", out, "--data", str(few), "--out", str(tmp / "e3")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(few) in err and "2 classes, fewer than the 3" in err, err
+    assert not (tmp / "e3").exists()
+
+
 def test_bench_table_schema(blob_manifest):
     tmp, manifest, _ = blob_manifest
     cfg = tmp / "bench_cfg.json"
@@ -283,6 +309,7 @@ def test_malformed_config_values_are_usage_errors(blob_manifest, capsys):
         ({"type": "synth", "n_per_class": None}, "'n_per_class'"),
         ({"type": "synth", "frame_size": 5}, "'frame_size'"),
         ({"type": "idx"}, "'images'"),
+        ({"type": "idx", "images": "x.idx", "labels": "y.idx", "class_names": [1, 2, 3]}, "'class_names'"),
     ],
 )
 def test_malformed_manifest_is_usage_error(blob_manifest, manifest, named, capsys):

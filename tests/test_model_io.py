@@ -229,6 +229,26 @@ def test_elm_head_with_another_activation_is_refused(tmp_path, activation, capsy
     assert str(path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config_edit",
+    [
+        pytest.param({"head": "sit2", "head_size": 7}, id="head-type"),
+        pytest.param({"layer_sizes": [99]}, id="layer-width"),
+        pytest.param({"layer_sizes": [99, 99], "Cs": [10.0, 10.0, 1e4]}, id="layer-count"),
+    ],
+)
+def test_header_config_that_disagrees_with_the_stored_model_is_refused(tmp_path, config_edit, capsys):
+    path = save_with_manifest(tmp_path, PipelineConfig((3,), (10.0, 1e4), head="ridge", seed=0))
+    header, payload = split_file(path.read_bytes())
+    header["config"].update(config_edit)
+    path.write_bytes(join_file(header, payload))
+    with pytest.raises(ValueError, match="does not match the stored ridge head and layer widths \\[3\\]") as info:
+        load_model(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert main(eval_args(path)) == 2
+    assert str(path) in capsys.readouterr().err
+
+
 def test_truncated_file_is_a_value_error(saved_model):
     raw = saved_model.read_bytes()
     header_end = 12 + int.from_bytes(raw[8:12], "little")

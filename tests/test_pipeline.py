@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from elmkit.elm import elm_predict, elm_train, predict_labels
-from elmkit.model_io import save_model
 from elmkit.numerics import Rng, ridge_solve
 from elmkit.pipeline import (
     FeatureScaler,
@@ -11,7 +10,6 @@ from elmkit.pipeline import (
     hml_predict,
     hml_train,
     one_hot,
-    retrain_head,
 )
 
 
@@ -100,26 +98,6 @@ def test_same_config_same_metrics():
     b = hml_train(x, labels, cfg)
     assert a.metrics.train_accuracy == b.metrics.train_accuracy
     np.testing.assert_array_equal(hml_predict(a, x), hml_predict(b, x))
-
-
-def test_retrain_head_leaves_stack_bit_identical():
-    x, labels = blob_data(20)
-    cfg = PipelineConfig((5,), (10.0, 1e4), head="elm", head_size=10, seed=2)
-    model = hml_train(x, labels, cfg)
-    again = retrain_head(model, x, labels, seed=999)
-    for a, b in zip(model.stack.layers, again.stack.layers):
-        assert a.beta.tobytes() == b.beta.tobytes()
-    assert again.head.input_weights.tobytes() != model.head.input_weights.tobytes()
-
-
-@pytest.mark.parametrize("head", ["sit2", "ridge", "elm"])
-def test_retrain_head_at_the_model_seed_reproduces_the_trained_file(tmp_path, head):
-    x, labels = blob_data(20)
-    cfg = PipelineConfig((5,), (10.0, 1e4), head=head, head_size=6, seed=3)
-    model = hml_train(x, labels, cfg)
-    save_model(model, tmp_path / "trained.bin")
-    save_model(retrain_head(model, x, labels), tmp_path / "retrained.bin")
-    assert (tmp_path / "retrained.bin").read_bytes() == (tmp_path / "trained.bin").read_bytes()
 
 
 def test_prediction_invariant_to_batch_splitting():

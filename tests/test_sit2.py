@@ -70,7 +70,7 @@ def test_collapsed_width_prediction_is_type1_weighted_mean(monkeypatch):
     x, t, _ = two_blobs()
     model = sit2_train(x, t, 3, Rng(5), c=1e4)
     scores = sit2_predict(model, x)
-    lower, upper, _ = firing_batch(model.rules, x)
+    lower, upper = firing_batch(model.rules, x)
     np.testing.assert_array_equal(lower, upper)
     xb = _with_bias(x)
     for i in range(2):

@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elmkit.numerics import Rng
+from elmkit.sit2 import STAGE_REFINED, Sit2Model, sit2_predict
 from elmkit.type_reduction import (
     FiringInterval,
     It2RuleBase,
     brute_force_cos,
-    defuzz,
     ekm_reduce,
     firing_batch,
-    firing_strengths,
     nt_defuzz,
     sc_reduce,
     sc_reduce_batch,
@@ -39,37 +38,37 @@ def random_instance(gen, n_rules, zero_lower="some"):
 
 def test_firing_at_center_is_one():
     rules = It2RuleBase(np.array([[0.2, 0.4], [0.9, 0.1]]), [0.3, 0.3], [0.6, 0.5])
-    f = firing_strengths(rules, [0.2, 0.4])
-    assert f.upper[0] == pytest.approx(1.0)
-    assert f.lower[0] == pytest.approx(1.0)
-    assert f.upper[1] < 1.0
+    lower, upper = firing_batch(rules, np.array([0.2, 0.4])[None])
+    assert upper[0, 0] == pytest.approx(1.0)
+    assert lower[0, 0] == pytest.approx(1.0)
+    assert upper[0, 1] < 1.0
 
 
 def test_degenerate_fou_gives_equal_bands():
     rules = It2RuleBase(np.array([[0.0], [1.0]]), [0.5, 0.7], [0.5, 0.7])
-    f = firing_strengths(rules, [0.3])
-    np.testing.assert_array_equal(f.lower, f.upper)
+    lower, upper = firing_batch(rules, np.array([0.3])[None])
+    np.testing.assert_array_equal(lower[0], upper[0])
 
 
 def test_hand_computed_single_rule_rescale():
     # gaussian at distance 1 with widths (1, 2): raw bands e^-0.5 and
     # e^-0.125, shifted together so the upper band becomes 1
     rules = It2RuleBase(np.array([[0.0]]), [1.0], [2.0])
-    f = firing_strengths(rules, [1.0])
-    assert f.upper[0] == pytest.approx(1.0, abs=1e-15)
-    assert f.lower[0] == pytest.approx(math.exp(-0.5 + 0.125), abs=1e-12)
-    assert f.lower[0] == pytest.approx(0.68729, abs=5e-6)
-    _, _, shifts = firing_batch(rules, [[1.0]])
-    assert shifts[0] == pytest.approx(-0.125)
+    lower, upper = firing_batch(rules, np.array([1.0])[None])
+    assert upper[0, 0] == pytest.approx(1.0, abs=1e-15)
+    assert lower[0, 0] == pytest.approx(math.exp(-0.5 + 0.125), abs=1e-12)
+    assert lower[0, 0] == pytest.approx(0.68729, abs=5e-6)
+    assert upper.max(axis=1)[0] == 1.0
 
 
 def test_firing_rejects_bad_input():
     rules = It2RuleBase(np.array([[0.0, 0.0]]), [1.0], [1.0])
-    with pytest.raises(ValueError, match="values"):
-        firing_strengths(rules, [1.0])
+    with pytest.raises(ValueError, match="samples"):
+        firing_batch(rules, np.array([1.0])[None])
+    model = Sit2Model(rules, np.zeros((3, 2)), STAGE_REFINED)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="NaN or Inf"):
-            firing_strengths(rules, [0.0, bad])
+            sit2_predict(model, [[0.0, bad]])
 
 
 def test_rule_base_validates_width_order():
@@ -85,22 +84,22 @@ def reference_firing(rules, x):
     log_upper = -d2 / (2.0 * rules.sigma_upper**2)
     log_lower = -d2 / (2.0 * rules.sigma_lower**2)
     shift = float(log_upper.max())
-    return np.exp(log_lower - shift), np.exp(log_upper - shift), shift
+    return np.exp(log_lower - shift), np.exp(log_upper - shift)
 
 
 def test_firing_batch_matches_scalar_exactly():
     gen = Rng(5).generator()
     rules = It2RuleBase(gen.uniform(0, 1, (7, 4)), gen.uniform(0.2, 0.5, 7), gen.uniform(0.5, 1.0, 7))
     x = gen.uniform(0, 1, (20, 4))
-    lower, upper, shifts = firing_batch(rules, x)
+    lower, upper = firing_batch(rules, x)
+    np.testing.assert_array_equal(upper.max(axis=1), np.ones(20))
     for p in range(20):
-        ref_lower, ref_upper, ref_shift = reference_firing(rules, x[p])
+        ref_lower, ref_upper = reference_firing(rules, x[p])
         assert ref_lower.tobytes() == lower[p].tobytes()
         assert ref_upper.tobytes() == upper[p].tobytes()
-        assert ref_shift == shifts[p]
-        f = firing_strengths(rules, x[p])
-        assert f.lower.tobytes() == lower[p].tobytes()
-        assert f.upper.tobytes() == upper[p].tobytes()
+        one_lower, one_upper = firing_batch(rules, x[p][None])
+        assert one_lower[0].tobytes() == lower[p].tobytes()
+        assert one_upper[0].tobytes() == upper[p].tobytes()
 
 
 # --------------------------------------------------------------------------
@@ -176,9 +175,9 @@ def test_brute_force_guard():
 
 def test_defuzz_midpoint():
     r = sc_reduce(FiringInterval([0.0, 0.0], [1.0, 1.0]), [0.0, 2.0])
-    assert defuzz(r) == pytest.approx(1.0)
+    assert 0.5 * (r.y_l + r.y_r) == pytest.approx(1.0)
     crisp = sc_reduce(FiringInterval([0.5], [0.5]), [4.0])
-    assert defuzz(crisp) == 4.0
+    assert 0.5 * (crisp.y_l + crisp.y_r) == 4.0
 
 
 def test_defuzz_agrees_across_reducers():
@@ -186,8 +185,9 @@ def test_defuzz_agrees_across_reducers():
     for _ in range(100):
         m = int(gen.integers(2, 11))
         f, w = random_instance(gen, m)
-        mid_sc = defuzz(sc_reduce(f, w))
-        mid_ekm = defuzz(ekm_reduce(f, w))
+        sc, ekm = sc_reduce(f, w), ekm_reduce(f, w)
+        mid_sc = 0.5 * (sc.y_l + sc.y_r)
+        mid_ekm = 0.5 * (ekm.y_l + ekm.y_r)
         assert rel_err(mid_sc, mid_ekm) < 1e-9
 
 
@@ -405,7 +405,7 @@ def head_scale_rows(seed, n_rows, n_inputs=300, n_rules=60, width_scale=(0.15, 0
     sigma_upper = gen.uniform(width_scale[0] * half_span, width_scale[1] * half_span, n_rules)
     sigma_lower = gen.uniform(0.6, 0.95, n_rules) * sigma_upper
     rules = It2RuleBase(gen.uniform(0.0, 1.0, (n_rules, n_inputs)), sigma_lower, sigma_upper)
-    lower, upper, _ = firing_batch(rules, x)
+    lower, upper = firing_batch(rules, x)
     q = gen.normal(0.0, 5.0, (n_rules, n_inputs + 1))
     w = np.hstack([np.ones((n_rows, 1)), x]) @ q.T
     return lower, upper, w
