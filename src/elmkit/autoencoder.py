@@ -82,8 +82,8 @@ class FeatureStack:
     layers: tuple[Autoencoder, ...]
 
 
-def stack_train(x, layer_sizes, cs, rng: Rng) -> FeatureStack:
-    """Train layer s on the encoding produced by layers 1..s-1; no layers is the identity."""
+def stack_train(x, layer_sizes, cs, rng: Rng) -> tuple[FeatureStack, np.ndarray]:
+    """Train layer s on layers 1..s-1's encoding; returns the stack and its encoding of x (x for no layers)."""
     layer_sizes = [int(m) for m in layer_sizes]
     cs = [float(c) for c in cs]
     if len(layer_sizes) != len(cs):
@@ -96,7 +96,7 @@ def stack_train(x, layer_sizes, cs, rng: Rng) -> FeatureStack:
         ae = ae_train(cur, m, c, rng.split(s))
         layers.append(ae)
         cur = ae_encode(ae, cur)
-    return FeatureStack(tuple(layers))
+    return FeatureStack(tuple(layers)), cur
 
 
 def stack_transform(stack: FeatureStack, x) -> np.ndarray:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .data import write_atomic
 
@@ -135,10 +134,6 @@ def write_ppm(img: ImageFrame, path) -> None:
     write_atomic(path, [f"P6\n{img.width} {img.height}\n255\n".encode(), np.ascontiguousarray(px).tobytes()])
 
 
-def _box_blur(mask: np.ndarray, size: int) -> np.ndarray:
-    return ndimage.uniform_filter(mask, size=size, mode="constant")
-
-
 def segment_object(img: ImageFrame, hue_lo: float, hue_hi: float, threshold: float = 0.5):
     """Isolate the largest in-band object; returns (binary mask, (row, col) centroid).
 
@@ -154,6 +149,7 @@ def segment_object(img: ImageFrame, hue_lo: float, hue_hi: float, threshold: flo
         raise ValueError(f"hue bounds must be in [0, 360], got {hue_lo!r}, {hue_hi!r}")
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold!r}")
+    from scipy import ndimage  # imported here: nothing but segmentation needs it
     px = img.pixels
     # value is the channel maximum over 255, so the value test is a lookup
     # on the 8-bit maximum, with the quantized value's own arithmetic
@@ -170,7 +166,7 @@ def segment_object(img: ImageFrame, hue_lo: float, hue_hi: float, threshold: flo
     if not mask.any():
         raise ValueError("no object in hue band")
     for size in BLUR_SIZES:
-        mask = _box_blur(mask, size)
+        mask = ndimage.uniform_filter(mask, size=size, mode="constant")
         peak = mask.max()
         if peak <= 0.0:
             raise ValueError("no object in hue band")

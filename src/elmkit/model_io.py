@@ -27,7 +27,7 @@ FORMAT_VERSION = 1
 # per-layer header fields, in Autoencoder constructor order after beta
 LAYER_FIELDS = ("mode", "c", "reconstruction_error", "beta_orthogonality_gap")
 # the arrays each head type writes and reads, in its constructor's order,
-# besides the scaler's and one per layer
+# besides the scaler's and one per layer; the last one has a column per class
 HEAD_ARRAYS = {
     "sit2": ("head.centers", "head.sigma_lower", "head.sigma_upper", "head.consequents"),
     "elm": ("head.input_weights", "head.biases", "head.output_weights"),
@@ -173,7 +173,10 @@ def load_model(path) -> HmlModel:
         if config.head != head_type or config.layer_sizes != widths:
             raise ValueError(f"{path}: header config (head {config.head!r}, layer_sizes {list(config.layer_sizes)}) "
                              f"does not match the stored {head_type} head and layer widths {list(widths)}")
+        n_classes, outputs = header["n_classes"], arrays[HEAD_ARRAYS[head_type][-1]]
+        if type(n_classes) is not int or outputs.ndim != 2 or outputs.shape[1] != n_classes:
+            raise ValueError(f"{path}: header n_classes {n_classes!r} does not match the {head_type} head's outputs")
         metrics = TrainMetrics(0.0, 0.0, header["train_accuracy"])
-        return HmlModel(scaler, FeatureStack(tuple(layers)), head, config, header["n_classes"], metrics)
+        return HmlModel(scaler, FeatureStack(tuple(layers)), head, config, n_classes, metrics)
     except (KeyError, TypeError) as e:
         raise ValueError(f"{path}: malformed model header ({type(e).__name__}: {e})") from None

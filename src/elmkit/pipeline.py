@@ -106,7 +106,8 @@ class FeatureScaler:
         return cls(lo, span)
 
     def transform(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.offset) / self.span
+        shifted = x - self.offset
+        return np.divide(shifted, self.span, out=shifted)
 
 
 @dataclass(frozen=True)
@@ -137,13 +138,15 @@ class HmlModel:
         return self.scaler.offset.size
 
 
-def _head_train(feats, t, config: PipelineConfig, rng: Rng) -> Head:
+def _head_train(feats, t, config: PipelineConfig, rng: Rng) -> tuple[Head, np.ndarray]:
     c = config.cs[-1]
     if config.head == "sit2":
         return sit2_train(feats, t, config.head_size, rng, c=c)
     if config.head == "elm":
-        return elm_train(feats, t, config.head_size, c, rng)
-    return ridge_solve(np.hstack([feats, np.ones((feats.shape[0], 1))]), t, c)
+        head = elm_train(feats, t, config.head_size, c, rng)
+    else:
+        head = ridge_solve(np.hstack([feats, np.ones((feats.shape[0], 1))]), t, c)
+    return head, _head_predict(head, feats)  # the head and its scores on the training rows
 
 
 def _head_predict(head: Head, feats: np.ndarray) -> np.ndarray:
@@ -173,12 +176,11 @@ def hml_train(x, labels, config: PipelineConfig) -> HmlModel:
     scaler = FeatureScaler.fit(x)
     xs = scaler.transform(x)
     t0 = time.perf_counter()
-    stack = stack_train(xs, config.layer_sizes, config.cs[:-1], Rng(config.seed).split(0))
+    stack, feats = stack_train(xs, config.layer_sizes, config.cs[:-1], Rng(config.seed).split(0))
     t1 = time.perf_counter()
-    feats = stack_transform(stack, xs)
-    head = _head_train(feats, one_hot(labels, n_classes), config, Rng(config.seed).split(1))
+    head, scores = _head_train(feats, one_hot(labels, n_classes), config, Rng(config.seed).split(1))
     t2 = time.perf_counter()
-    accuracy = float((predict_labels(_head_predict(head, feats)) == labels).mean())
+    accuracy = float((predict_labels(scores) == labels).mean())
     metrics = TrainMetrics(t1 - t0, t2 - t1, accuracy)
     return HmlModel(scaler, stack, head, config, n_classes, metrics)
 

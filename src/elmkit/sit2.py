@@ -61,6 +61,7 @@ def _consequent_values(xb: np.ndarray, q_col: np.ndarray, n_rules: int) -> np.nd
 
 _BLOCK_ENTRIES = 2_000_000  # cap on materialized hidden-row entries per block
 _TILE_ROWS = 128  # rows per block of a dual Gram, written straight into its buffer
+_TILE_COLS = 512  # columns per in-place K multiply, so its transposed read stays in cache
 
 
 def _input_gram(xb):
@@ -103,13 +104,15 @@ def _product_ridge(phi, xb, t, c, buf=None):
                 e = min(s + _TILE_ROWS, p)
                 # right of the diagonal block, K[i, j] is read from g[j, i]
                 np.matmul(phi[s:e], phi[e:].T, out=g[s:e, e:])
-                g[s:e, e:] *= g[e:, s:e].T
+                for u in range(e, p, _TILE_COLS):
+                    g[s:e, u : u + _TILE_COLS] *= g[u : u + _TILE_COLS, s:e].T
                 g[s:e, s:e] = (phi[s:e] @ phi[s:e].T) * (xb[s:e] @ xb[s:e].T)
 
         alpha = _solve_spd(build, t, c, out=_input_gram(xb) if buf is None else buf)
-        # b[j*k + a] = sum_p phi[p, j] xb[p, a] alpha[p], for every (rule, output) column
-        folded = xb.T @ (phi[:, :, None] * alpha[:, None, :]).reshape(p, -1)
-        b = folded.reshape(k, m_rules, -1).transpose(1, 0, 2).reshape(m, -1)
+        # b[j*k + a] = sum_p phi[p, j] xb[p, a] alpha[p], one output column at a time
+        b = np.empty((m, alpha.shape[1]))
+        for i in range(alpha.shape[1]):
+            b[:, i] = (xb.T @ (phi * alpha[:, i : i + 1])).T.ravel()
     if not np.all(np.isfinite(b)):
         raise NumericalError("consequent solution contains non-finite entries")
     return np.ascontiguousarray(b)
@@ -134,8 +137,8 @@ def sit2_train(
     rng: Rng,
     c: float = 1e6,
     refine: bool = True,
-) -> Sit2Model:
-    """Fit the classifier on one-hot targets t.
+) -> tuple[Sit2Model, np.ndarray]:
+    """Fit the classifier on one-hot targets t; returns the model and its scores on x.
 
     Centers are uniform over each feature's observed range; upper widths are
     uniform in ``WIDTH_SCALE`` times half the mean feature range, and lower
@@ -171,16 +174,24 @@ def sit2_train(
     # the dual path's input Gram, in the one buffer every solve below builds in
     buf = _input_gram(xb) if n_rules * xb.shape[1] > x.shape[0] else None
     q = _product_ridge(phi0, xb, t, c, buf)
-    if not refine:
-        return Sit2Model(rules, q, STAGE_INITIALIZED)
+    if refine:  # column i of the initial q is read only to refine column i, so refine in place
+        for i in range(t.shape[1]):
+            w = _consequent_values(xb, q[:, i], n_rules)
+            _, _, z_l, z_r = sc_reduce_batch(lower, upper, w)
+            phi = _refinement_weights(lower, upper, z_l, z_r)
+            q[:, i] = _product_ridge(phi, xb, t[:, i : i + 1], c, buf)[:, 0]
+    del buf  # the score sweeps need none of the p x p buffer
+    model = Sit2Model(rules, q, STAGE_REFINED if refine else STAGE_INITIALIZED)
+    return model, _scores(lower, upper, xb, q, n_rules)
 
-    q_ref = np.empty_like(q)
-    for i in range(t.shape[1]):
-        w = _consequent_values(xb, q[:, i], n_rules)
-        _, _, z_l, z_r = sc_reduce_batch(lower, upper, w)
-        phi = _refinement_weights(lower, upper, z_l, z_r)
-        q_ref[:, i] = _product_ridge(phi, xb, t[:, i : i + 1], c, buf)[:, 0]
-    return Sit2Model(rules, q_ref, STAGE_REFINED)
+
+def _scores(lower, upper, xb, consequents, n_rules):
+    """Per output column, the midpoint of each row's SC-reduced interval."""
+    scores = np.empty((xb.shape[0], consequents.shape[1]))
+    for i in range(consequents.shape[1]):
+        y_l, y_r, _, _ = sc_reduce_batch(lower, upper, _consequent_values(xb, consequents[:, i], n_rules))
+        scores[:, i] = 0.5 * (y_l + y_r)
+    return scores
 
 
 def sit2_predict(model: Sit2Model, x, reducer: str = "sc") -> np.ndarray:
@@ -196,14 +207,12 @@ def sit2_predict(model: Sit2Model, x, reducer: str = "sc") -> np.ndarray:
         raise ValueError(f"unknown reducer {reducer!r}")
     lower, upper = firing_batch(model.rules, x)
     xb = _with_bias(x)
+    if reducer == "sc":
+        return _scores(lower, upper, xb, model.consequents, model.n_rules)
     scores = np.empty((x.shape[0], model.n_outputs))
     for i in range(model.n_outputs):
         w = _consequent_values(xb, model.consequents[:, i], model.n_rules)
-        if reducer == "sc":
-            y_l, y_r, _, _ = sc_reduce_batch(lower, upper, w)
-            scores[:, i] = 0.5 * (y_l + y_r)
-        else:
-            for p in range(x.shape[0]):
-                r = ekm_reduce(FiringInterval(lower[p], upper[p]), w[p])
-                scores[p, i] = 0.5 * (r.y_l + r.y_r)
+        for p in range(x.shape[0]):
+            r = ekm_reduce(FiringInterval(lower[p], upper[p]), w[p])
+            scores[p, i] = 0.5 * (r.y_l + r.y_r)
     return scores

@@ -102,6 +102,9 @@ class ReducedInterval:
     z_r: np.ndarray
 
 
+_FIRING_ROWS = 256  # rows per block of firing_batch's squared distances
+
+
 def firing_batch(rules: It2RuleBase, x) -> tuple[np.ndarray, np.ndarray]:
     """Product-of-Gaussians firing intervals, one row per sample.
 
@@ -115,8 +118,12 @@ def firing_batch(rules: It2RuleBase, x) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"expected (*, {rules.n_inputs}) samples, got {x.shape}")
     p = x.shape[0]
     d2 = np.empty((p, rules.n_rules))
-    for j in range(rules.n_rules):
-        d2[:, j] = ((x - rules.centers[j]) ** 2).sum(axis=1)
+    diff = np.empty((min(p, _FIRING_ROWS), x.shape[1]))  # one row block, reused for every rule
+    for s in range(0, p, _FIRING_ROWS):
+        block = diff[: min(_FIRING_ROWS, p - s)]
+        for j in range(rules.n_rules):
+            np.square(np.subtract(x[s : s + _FIRING_ROWS], rules.centers[j], out=block), out=block)
+            block.sum(axis=1, out=d2[s : s + _FIRING_ROWS, j])
     log_upper = -d2 / (2.0 * rules.sigma_upper**2)
     log_lower = -d2 / (2.0 * rules.sigma_lower**2)
     shifts = log_upper.max(axis=1) if p else np.zeros(0)
@@ -310,7 +317,7 @@ def sc_reduce_batch(lower: np.ndarray, upper: np.ndarray, w: np.ndarray):
         y_l[i], y_r[i], z_l[i], z_r[i] = r.y_l, r.y_r, r.z_l, r.z_r
     if live.size == 0:
         return y_l, y_r, z_l, z_r
-    lo, up, ww = lower[live], upper[live], w[live]
+    lo, up, ww = (lower, upper, w) if live.size == p else (lower[live], upper[live], w[live])
     delta = up - lo
     delta_t = np.ascontiguousarray(delta.T)
     w_t = np.ascontiguousarray(ww.T)

@@ -274,8 +274,8 @@ def test_degenerate_fou_stage_equivalence(monkeypatch):
     x = np.vstack([gen.normal(c, 0.08, (50, 5)) for c in centers])
     labels = np.repeat(np.arange(3), 50)
     t = one_hot(labels, 3)
-    refined = sit2_train(x, t, 6, Rng(4), c=1e5)
-    initial = sit2_train(x, t, 6, Rng(4), c=1e5, refine=False)
+    refined, _ = sit2_train(x, t, 6, Rng(4), c=1e5)
+    initial, _ = sit2_train(x, t, 6, Rng(4), c=1e5, refine=False)
     scale = np.abs(initial.consequents).max()
     gap = np.abs(refined.consequents - initial.consequents).max() / scale
     ok_stages = gap <= 1e-6

@@ -63,9 +63,16 @@ def test_identity_beta_encodes_identically(batch):
 
 
 def test_stack_accepts_empty_layer_list(batch):
-    stack = stack_train(batch, [], [], Rng(0))
+    stack, _ = stack_train(batch, [], [], Rng(0))
     assert stack.layers == ()
     assert stack_transform(stack, batch).tobytes() == batch.tobytes()
+
+
+@pytest.mark.parametrize("sizes", [[], [4], [3, 5, 2]])
+def test_stack_train_returns_the_stacks_encoding(batch, sizes):
+    stack, encoded = stack_train(batch, sizes, [10.0] * len(sizes), Rng(9))
+    transformed = stack_transform(stack, batch)
+    assert encoded.shape == transformed.shape and encoded.tobytes() == transformed.tobytes()
 
 
 def test_stack_rejects_mismatched_cs(batch):
@@ -74,32 +81,32 @@ def test_stack_rejects_mismatched_cs(batch):
 
 
 def test_single_equal_layer_round_trip(batch):
-    stack = stack_train(batch, [4], [1e6], Rng(4))
+    stack, _ = stack_train(batch, [4], [1e6], Rng(4))
     z = stack_transform(stack, batch)
     np.testing.assert_allclose(z @ stack.layers[0].beta, batch, atol=1e-6)
 
 
 def test_stack_chains_dimensions(batch):
-    stack = stack_train(batch, [3, 5, 2], [10.0, 10.0, 10.0], Rng(5))
+    stack, _ = stack_train(batch, [3, 5, 2], [10.0, 10.0, 10.0], Rng(5))
     assert [ae.beta.shape for ae in stack.layers] == [(3, 4), (5, 3), (2, 5)]
     assert stack_transform(stack, batch).shape == (10, 2)
 
 
 def test_transform_empty_input(batch):
-    stack = stack_train(batch, [3], [10.0], Rng(6))
+    stack, _ = stack_train(batch, [3], [10.0], Rng(6))
     out = stack_transform(stack, np.zeros((0, 4)))
     assert out.shape == (0, 3)
 
 
 def test_transform_deterministic(batch):
-    stack = stack_train(batch, [3, 3], [10.0, 10.0], Rng(7))
+    stack, _ = stack_train(batch, [3, 3], [10.0, 10.0], Rng(7))
     a = stack_transform(stack, batch)
     b = stack_transform(stack, batch)
     assert a.tobytes() == b.tobytes()
 
 
 def test_transform_is_stateless_over_row_blocks(batch):
-    stack = stack_train(batch, [5, 3], [10.0, 10.0], Rng(8))
+    stack, _ = stack_train(batch, [5, 3], [10.0, 10.0], Rng(8))
     whole = stack_transform(stack, batch)
     parts = np.vstack([stack_transform(stack, batch[:4]), stack_transform(stack, batch[4:])])
     np.testing.assert_allclose(whole, parts, rtol=0, atol=0)

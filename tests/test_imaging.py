@@ -1,9 +1,13 @@
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
+import elmkit
 from elmkit import imaging
 from elmkit.imaging import (
     ImageFrame,
@@ -21,6 +25,16 @@ def solid_square_frame(size=100, top=40, left=40, side=20, color=(255, 0, 0)):
     px = np.zeros((size, size, 3), dtype=np.uint8)
     px[top : top + side, left : left + side] = color
     return ImageFrame(px, "rgb8")
+
+
+def test_importing_elmkit_leaves_scipy_ndimage_unloaded():
+    # only segment_object uses scipy.ndimage, so training and scoring never pay its import
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(elmkit.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, elmkit; print('scipy.ndimage' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_hsv_pure_red():

@@ -170,6 +170,8 @@ CORRUPTIONS = {
     "compressed-layer-linear": _set_layer(1, "activation", "linear"),
     "equal-layer-sigmoid": _set_layer(0, "activation", "sigmoid"),
     "unknown-head-stage": _edit_header(lambda header: header["head"].__setitem__("stage", "bogus")),
+    # the saved_model head scores 3 classes
+    "n-classes-not-head-width": _edit_header(lambda header: header.__setitem__("n_classes", 7)),
     # true == 1, so the section still tiles the payload
     "boolean-dimension": _edit_sections(
         lambda sections: next(s for s in sections if s["name"] == "scaler.offset")["shape"].append(True)

@@ -78,6 +78,17 @@ def test_each_head_learns_blobs(head):
     assert (pred == labels).mean() >= 0.95
 
 
+@pytest.mark.parametrize("head", ["sit2", "ridge", "elm"])
+def test_train_accuracy_is_the_accuracy_of_predicting_the_training_rows(head):
+    x, labels = blob_data(20)
+    labels = np.roll(labels, 7)  # mislabel some rows so no head fits every one
+    cfg = PipelineConfig((5, 4), (10.0, 10.0, 1e4), head=head, head_size=6, seed=2)
+    model = hml_train(x, labels, cfg)
+    predicted = float((predict_labels(hml_predict(model, x)) == labels).mean())
+    assert 0.0 < predicted < 1.0
+    assert model.metrics.train_accuracy == predicted
+
+
 def test_ridge_head_on_equal_layer_matches_raw_ridge():
     # an equal-width layer is an orthogonal rotation, and the isotropic
     # penalty is rotation invariant, so accuracy matches plain ridge closely

@@ -35,7 +35,7 @@ def two_blobs(n_per_class=40, seed=60):
 
 def test_separable_blobs_high_training_accuracy():
     x, t, labels = two_blobs()
-    model = sit2_train(x, t, n_rules=2, rng=Rng(1), c=1e6)
+    model, _ = sit2_train(x, t, n_rules=2, rng=Rng(1), c=1e6)
     assert model.stage == STAGE_REFINED
     pred = predict_labels(sit2_predict(model, x))
     assert (pred == labels).mean() >= 0.99
@@ -58,8 +58,8 @@ def test_collapsed_width_interval_skips_nothing_but_changes_nothing(monkeypatch)
     # hidden rows, so refined consequents match the initial ones
     monkeypatch.setattr(sit2, "WIDTH_RATIO", (1.0, 1.0))
     x, t, _ = two_blobs()
-    refined = sit2_train(x, t, 3, Rng(5), c=1e4)
-    initial = sit2_train(x, t, 3, Rng(5), c=1e4, refine=False)
+    refined, _ = sit2_train(x, t, 3, Rng(5), c=1e4)
+    initial, _ = sit2_train(x, t, 3, Rng(5), c=1e4, refine=False)
     assert refined.stage == STAGE_REFINED and initial.stage == STAGE_INITIALIZED
     denom = np.abs(initial.consequents).max()
     assert np.abs(refined.consequents - initial.consequents).max() <= 1e-6 * denom
@@ -68,7 +68,7 @@ def test_collapsed_width_interval_skips_nothing_but_changes_nothing(monkeypatch)
 def test_collapsed_width_prediction_is_type1_weighted_mean(monkeypatch):
     monkeypatch.setattr(sit2, "WIDTH_RATIO", (1.0, 1.0))
     x, t, _ = two_blobs()
-    model = sit2_train(x, t, 3, Rng(5), c=1e4)
+    model, _ = sit2_train(x, t, 3, Rng(5), c=1e4)
     scores = sit2_predict(model, x)
     lower, upper = firing_batch(model.rules, x)
     np.testing.assert_array_equal(lower, upper)
@@ -91,7 +91,7 @@ def test_single_rule_model_predicts_its_consequent():
 
 def test_ekm_and_sc_predictions_agree():
     x, t, _ = two_blobs(30)
-    model = sit2_train(x, t, 5, Rng(9), c=1e5)
+    model, _ = sit2_train(x, t, 5, Rng(9), c=1e5)
     test_x = Rng(10).generator().uniform(0, 1, (25, 2))
     a = sit2_predict(model, test_x, reducer="sc")
     b = sit2_predict(model, test_x, reducer="ekm")
@@ -100,29 +100,29 @@ def test_ekm_and_sc_predictions_agree():
 
 def test_unknown_reducer_rejected():
     x, t, _ = two_blobs(10)
-    model = sit2_train(x, t, 2, Rng(0))
+    model, _ = sit2_train(x, t, 2, Rng(0))
     with pytest.raises(ValueError, match="reducer"):
         sit2_predict(model, x, reducer="km")
 
 
 def test_determinism():
     x, t, _ = two_blobs(20)
-    a = sit2_train(x, t, 4, Rng(33), c=1e5)
-    b = sit2_train(x, t, 4, Rng(33), c=1e5)
+    a, _ = sit2_train(x, t, 4, Rng(33), c=1e5)
+    b, _ = sit2_train(x, t, 4, Rng(33), c=1e5)
     assert a.consequents.tobytes() == b.consequents.tobytes()
     assert a.rules.centers.tobytes() == b.rules.centers.tobytes()
 
 
 def test_predict_feature_mismatch():
     x, t, _ = two_blobs(10)
-    model = sit2_train(x, t, 2, Rng(0))
+    model, _ = sit2_train(x, t, 2, Rng(0))
     with pytest.raises(ValueError, match="feature mismatch"):
         sit2_predict(model, np.zeros((3, 5)))
 
 
 def test_predict_empty_batch():
     x, t, _ = two_blobs(10)
-    model = sit2_train(x, t, 2, Rng(0))
+    model, _ = sit2_train(x, t, 2, Rng(0))
     assert sit2_predict(model, np.zeros((0, 2))).shape == (0, 2)
 
 
@@ -160,8 +160,8 @@ def test_product_ridge_blocked_tall_matches_explicit():
 
 def test_refinement_does_not_hurt_separable_fit():
     x, t, labels = two_blobs(50, seed=61)
-    refined = sit2_train(x, t, 4, Rng(2), c=1e6)
-    initial = sit2_train(x, t, 4, Rng(2), c=1e6, refine=False)
+    refined, _ = sit2_train(x, t, 4, Rng(2), c=1e6)
+    initial, _ = sit2_train(x, t, 4, Rng(2), c=1e6, refine=False)
     acc_ref = (predict_labels(sit2_predict(refined, x)) == labels).mean()
     acc_init = (predict_labels(sit2_predict(initial, x)) == labels).mean()
     assert acc_ref >= acc_init - 0.02
@@ -213,19 +213,29 @@ def test_dual_solves_share_one_buffer_and_match_the_full_gram_path(p, monkeypatc
 
 def test_sit2_train_dual_path_holds_one_gram_buffer():
     # the dual Gram and the input Gram it is built from share one p x p
-    # buffer; the bound leaves room for xb, the firing arrays and the SC
+    # buffer; the bounds leave room for xb, the firing arrays and the SC
     # reducer's working set, not for a second p x p array
-    gen = Rng(73).generator()
     p, n_inputs, n_rules = 1200, 120, 10  # m = 10 * 121 > p: the dual route
-    x = gen.uniform(0.0, 1.0, (p, n_inputs))
-    t = np.eye(2)[gen.integers(0, 2, p)]
-    tracemalloc.start()
-    try:
-        sit2_train(x, t, n_rules, Rng(1), c=1e4)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * 8 * p * p
+    for n_classes, bound in ((2, 1.22), (10, 1.227)):
+        gen = Rng(73).generator()
+        x = gen.uniform(0.0, 1.0, (p, n_inputs))
+        t = np.eye(n_classes)[gen.integers(0, n_classes, p)]
+        tracemalloc.start()
+        try:
+            sit2_train(x, t, n_rules, Rng(1), c=1e4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 8 * p * p, n_classes
+
+
+@pytest.mark.parametrize("refine", [True, False])
+@pytest.mark.parametrize("n_per_class,n_rules", [(40, 3), (10, 8)])  # 9 <= 80: primal; 24 > 20: dual
+def test_sit2_train_scores_are_its_predictions(n_per_class, n_rules, refine):
+    x, t, _ = two_blobs(n_per_class)
+    model, scores = sit2_train(x, t, n_rules, Rng(3), c=1e4, refine=refine)
+    predicted = sit2_predict(model, x)
+    assert scores.shape == predicted.shape and scores.tobytes() == predicted.tobytes()
 
 
 def test_benchmark_tracer_binds_sit2_train_by_name(monkeypatch):

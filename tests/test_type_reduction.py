@@ -102,6 +102,20 @@ def test_firing_batch_matches_scalar_exactly():
         assert one_upper[0].tobytes() == upper[p].tobytes()
 
 
+@pytest.mark.parametrize("p", [0, 1, 255, 256, 257, 600])
+def test_firing_batch_matches_reference_across_row_blocks(p):
+    # 150 inputs: each row's squared distance is a split pairwise sum
+    gen = Rng(6).generator()
+    rules = It2RuleBase(gen.uniform(0, 1, (5, 150)), gen.uniform(2.0, 3.0, 5), gen.uniform(3.0, 4.0, 5))
+    x = gen.uniform(0, 1, (p, 150))
+    lower, upper = firing_batch(rules, x)
+    assert lower.shape == upper.shape == (p, 5)
+    for row in range(p):
+        ref_lower, ref_upper = reference_firing(rules, x[row])
+        assert ref_lower.tobytes() == lower[row].tobytes()
+        assert ref_upper.tobytes() == upper[row].tobytes()
+
+
 # --------------------------------------------------------------------------
 # individual reducers: pinned cases
 
