@@ -64,7 +64,9 @@ def ae_train(x, n_hidden: int, c: float, rng: Rng) -> Autoencoder:
         beta = ridge_solve(h, x, c)
     x_norm = np.linalg.norm(x)
     recon_err = float(np.linalg.norm(h @ beta - x) / x_norm) if x_norm > 0 else 0.0
-    gap = float(np.abs(beta.T @ beta - np.eye(n_in)).max())
+    g = beta.T @ beta  # max |beta' beta - I| in this one n_in x n_in buffer
+    g.flat[:: n_in + 1] -= 1.0
+    gap = float(np.abs(g, out=g).max())
     return Autoencoder(beta, mode, float(c), recon_err, gap)
 
 

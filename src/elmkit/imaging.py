@@ -9,6 +9,7 @@ away from the frame edges.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ CHANNEL_KINDS = ("rgb8", "binary", "hsv8")
 BLUR_SIZES = (3, 7)
 SAT_MIN = 0.15  # drops dark/washed-out pixels whose hue is meaningless
 VAL_MIN = 0.15
+_VALUE_LEVELS = np.rint(np.arange(256) / 255.0 * 255.0) / 255.0  # value of each uint8 channel maximum
 
 
 @dataclass(frozen=True)
@@ -134,6 +136,68 @@ def write_ppm(img: ImageFrame, path) -> None:
     write_atomic(path, [f"P6\n{img.width} {img.height}\n255\n".encode(), np.ascontiguousarray(px).tobytes()])
 
 
+def _blur(mask: np.ndarray, size: int) -> np.ndarray:
+    """``ndimage.uniform_filter(mask, size, mode="constant")`` of a 0/1 mask, bit for bit.
+
+    Down the columns every window sum is an exact integer.  Along the rows
+    scipy keeps a running sum, started from the first window's sequential
+    sum and stepped by (entering - leaving), and divides it by ``size`` at
+    each step; ``cumsum`` adds in that order, so every rounding matches.
+    """
+    h, w = mask.shape
+    pad = size // 2
+    padded = np.zeros((h + size - 1, w + size - 1), dtype=np.int16)
+    padded[pad : pad + h, pad : pad + w] = mask
+    cols = sum(padded[k : k + h] for k in range(size)) / size
+    steps = np.empty((h, w))
+    steps[:, 0] = sum(cols[:, k] for k in range(size))
+    steps[:, 1:] = cols[:, size:] - cols[:, : w - 1]
+    return np.cumsum(steps, axis=1, out=steps) / size
+
+
+def _largest_component(mask: np.ndarray):
+    """(uint8 mask, rounded centroid) of the largest 4-connected component; None if empty.
+
+    Works on horizontal runs in raster order.  Runs in adjacent rows whose
+    columns overlap are joined under the smaller run index, so components
+    rank like ``ndimage.label``'s numbering, and a tie in size goes to the
+    component that starts first.
+    """
+    h, w = mask.shape
+    rows, cols = np.nonzero(np.diff(mask, axis=1, prepend=False, append=False))
+    row, start, end = rows[::2], cols[::2], cols[1::2]  # run i covers [start[i], end[i]) of its row
+    if row.size == 0:
+        return None
+    # the runs of the next row that overlap run i are first[i] <= j < last[i]
+    key = row * (w + 1)
+    first = np.searchsorted(key + end, key + w + 1 + start, side="right")
+    last = np.searchsorted(key + start, key + w + 1 + end, side="left")
+    parent = list(range(row.size))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for i, lo, hi in zip(range(row.size), first.tolist(), last.tolist()):
+        for j in range(lo, hi):
+            a, b = root(i), root(j)
+            parent[max(a, b)] = min(a, b)
+    roots = np.array([root(i) for i in range(row.size)])
+    keep = roots == np.argmax(np.bincount(roots, weights=end - start))
+    row, start, end = row[keep], start[keep], end[keep]
+    toggles = np.zeros((h, w + 1), dtype=np.int8)
+    toggles[row, start] = 1
+    toggles[row, end] = -1
+    component = np.cumsum(toggles[:, :w], axis=1, dtype=np.int8).view(np.uint8)
+    # exact integer sums, so each mean is the float rows.mean() gives; round
+    # half up: commutes with integer shifts, keeping the pipeline translation
+    # equivariant (half-even rounding would not)
+    n = int((end - start).sum())
+    sums = int(row @ (end - start)), int((start + end - 1) @ (end - start)) // 2
+    return component, tuple(math.floor(total / n + 0.5) for total in sums)
+
+
 def segment_object(img: ImageFrame, hue_lo: float, hue_hi: float, threshold: float = 0.5):
     """Isolate the largest in-band object; returns (binary mask, (row, col) centroid).
 
@@ -149,38 +213,30 @@ def segment_object(img: ImageFrame, hue_lo: float, hue_hi: float, threshold: flo
         raise ValueError(f"hue bounds must be in [0, 360], got {hue_lo!r}, {hue_hi!r}")
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold!r}")
-    from scipy import ndimage  # imported here: nothing but segmentation needs it
     px = img.pixels
-    # value is the channel maximum over 255, so the value test is a lookup
-    # on the 8-bit maximum, with the quantized value's own arithmetic
-    passes_value = np.rint(np.arange(256) / 255.0 * 255.0) / 255.0 >= VAL_MIN
-    bright = passes_value[np.maximum(np.maximum(px[..., 0], px[..., 1]), px[..., 2])]
-    h8, s8, _ = _hsv8(px[bright])
+    # value is the channel maximum over 255 and its 8-bit levels rise with
+    # it, so the value floor is a threshold on the uint8 maximum
+    lowest = 256 - np.count_nonzero(_VALUE_LEVELS >= VAL_MIN)
+    maxc = np.maximum(np.maximum(px[..., 0], px[..., 1]), px[..., 2])
+    bright = np.flatnonzero(maxc >= lowest)
+    h8, s8, _ = _hsv8(np.take(px.reshape(-1, 3), bright, axis=0))
     hue = h8 / 255.0 * 360.0
     if hue_lo <= hue_hi:
         in_band = (hue >= hue_lo) & (hue <= hue_hi)
     else:
         in_band = (hue >= hue_lo) | (hue <= hue_hi)
-    mask = np.zeros(bright.shape, dtype=np.float64)
+    mask = np.zeros(maxc.size, dtype=bool)
     mask[bright] = in_band & (s8 / 255.0 >= SAT_MIN)
+    mask = mask.reshape(maxc.shape)
     if not mask.any():
         raise ValueError("no object in hue band")
-    for size in BLUR_SIZES:
-        mask = ndimage.uniform_filter(mask, size=size, mode="constant")
-        peak = mask.max()
-        if peak <= 0.0:
-            raise ValueError("no object in hue band")
-        mask = (mask >= threshold * peak).astype(np.float64)
-    labeled, n_components = ndimage.label(mask)
-    if n_components == 0:
+    for size in BLUR_SIZES:  # a blur of a non-empty mask peaks above 0
+        blurred = _blur(mask, size)
+        mask = blurred >= threshold * blurred.max()
+    found = _largest_component(mask)
+    if found is None:
         raise ValueError("no object in hue band")
-    keep = int(np.argmax(np.bincount(labeled.ravel())[1:])) + 1
-    component = labeled == keep
-    rows, cols = np.nonzero(component)
-    # round half up: commutes with integer shifts, keeping the pipeline
-    # translation equivariant (half-even rounding would not)
-    centroid = (int(np.floor(rows.mean() + 0.5)), int(np.floor(cols.mean() + 0.5)))
-    return ImageFrame(component.astype(np.uint8), "binary"), centroid
+    return ImageFrame(found[0], "binary"), found[1]
 
 
 def extract_patch(img: ImageFrame, centroid, side: int = 52) -> np.ndarray:

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 class NumericalError(RuntimeError):
@@ -80,6 +79,8 @@ def _solve_spd(build, rhs: np.ndarray, c: float, out: np.ndarray | None = None) 
     With c = inf no jitter is applied: a singular system is reported instead
     of silently regularized.
     """
+    import scipy.linalg  # imported here: scoring and segmentation solve nothing
+
     n = rhs.shape[0]
     g = np.empty((n, n)) if out is None else out
     ridge = 0.0 if math.isinf(c) else 1.0 / c
@@ -136,6 +137,8 @@ def ridge_solve(h: np.ndarray, t: np.ndarray, c: float) -> np.ndarray:
 
 def pseudo_inverse(h: np.ndarray) -> np.ndarray:
     """Moore-Penrose inverse by SVD, for any shape and rank."""
+    import scipy.linalg
+
     return scipy.linalg.pinv(as_matrix(h, "h"))
 
 

@@ -95,7 +95,11 @@ def synth_shape(kind: str, pose: ShapePose, noise_level: float, rng: Rng, frame_
     frame = np.full((h, w, 3), 18.0)  # uniform dark background
     frame[inside] = np.array([r, g, b]) * 255.0
     if noise_level > 0.0:
-        frame += gen.normal(0.0, 55.0 * noise_level, frame.shape)
+        # gen.normal(0.0, sigma) returns 0.0 + sigma * z from the same draws; adding
+        # 0.0 only turns -0.0 into +0.0, which adding it to the frame does anyway
+        noise = gen.standard_normal(frame.shape)
+        noise *= 55.0 * noise_level
+        frame += noise
     np.rint(frame, out=frame)
     pixels = np.clip(frame, 0, 255, out=frame).astype(np.uint8)
     return ImageFrame(pixels, "rgb8"), SHAPE_KINDS.index(kind)

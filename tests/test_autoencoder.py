@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -139,3 +141,17 @@ def test_ill_conditioned_equal_mode_is_the_rotation_transpose():
     assert ae.beta.tobytes() == orthonormal_random(5, 5, rng.split(0)).T.tobytes()
     assert ae.beta_orthogonality_gap < 1e-12
     assert ae.reconstruction_error < 1e-12
+
+
+def test_orthogonality_gap_holds_one_input_square():
+    # the gap needs beta'beta alone, not an n_in x n_in identity beside it
+    x = Rng(15).generator().uniform(0.0, 1.0, (20, 1500))
+    ae_train(x[:, :30], 10, 100.0, Rng(16))  # loads the solver before tracing
+    tracemalloc.start()
+    try:
+        ae = ae_train(x, 10, 100.0, Rng(16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * 1500**2
+    assert ae.beta_orthogonality_gap == np.abs(ae.beta.T @ ae.beta - np.eye(1500)).max()

@@ -17,7 +17,9 @@ from elmkit.imaging import (
     segment_object,
     write_ppm,
 )
+from elmkit.model_io import save_model
 from elmkit.numerics import Rng
+from elmkit.pipeline import PipelineConfig, hml_train
 from elmkit.shapes import HUE_BAND, ShapePose, synth_shape, synth_shape_dataset
 
 
@@ -27,14 +29,28 @@ def solid_square_frame(size=100, top=40, left=40, side=20, color=(255, 0, 0)):
     return ImageFrame(px, "rgb8")
 
 
-def test_importing_elmkit_leaves_scipy_ndimage_unloaded():
-    # only segment_object uses scipy.ndimage, so training and scoring never pay its import
+def test_frame_path_loads_no_scipy_module(tmp_path):
+    # rendering, segmentation, loading and scoring solve nothing, so a camera
+    # loop never pays for scipy; training loads scipy.linalg at its first solve
+    ds, _ = synth_shape_dataset(3, 0.25, Rng(5))
+    model_path = tmp_path / "model.bin"
+    save_model(hml_train(ds.x, ds.labels, PipelineConfig((12,), (10.0, 1e4), head_size=4)), model_path)
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(elmkit.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, elmkit; print('scipy.ndimage' in sys.modules)"
+    code = f"""
+import sys
+from elmkit import PipelineConfig, Rng, hml_predict, hml_train, load_model, synth_shape_dataset
+def loaded():
+    return [m for m in ("scipy.linalg", "scipy.ndimage", "scipy.special") if m in sys.modules]
+ds, _ = synth_shape_dataset(2, 0.25, Rng(6))  # renders and runs segment_object on every frame
+hml_predict(load_model({str(model_path)!r}), ds.x)
+print(loaded())
+hml_train(ds.x, ds.labels, PipelineConfig((12,), (10.0, 1e4), head_size=4))
+print(loaded())
+"""
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split("\n")[:2] == ["[]", "['scipy.linalg']"]
 
 
 def test_hsv_pure_red():
@@ -253,7 +269,7 @@ def _test_frame(gen, kind):
 
 def test_segment_matches_whole_frame_hsv_reference(monkeypatch):
     gen = np.random.default_rng(20261018)
-    levels = [0.0, 38 / 255, 39 / 255, 0.15, 1.0]
+    levels = [0.0, 38 / 255, 39 / 255, 0.15, 1.0, 1.5]
     bands = [(330.0, 30.0), (0.0, 360.0), (0.0, 0.0), (90.0, 200.0), (200.0, 90.0), (360.0, 0.0)]
     found = 0
     for i in range(900):
@@ -273,6 +289,52 @@ def test_segment_matches_whole_frame_hsv_reference(monkeypatch):
         assert mask.pixels.tobytes() == expected[0].tobytes(), (i, band, floors)
         assert centroid == expected[1], (i, band, floors)
     assert 300 < found < 900  # both outcomes are exercised
+
+
+def _test_masks(gen, n):
+    """Random 0/1 masks, 1 to 49 pixels a side, of varied density."""
+    for _ in range(n):
+        h, w = (int(v) for v in gen.integers(1, 50, 2))
+        yield gen.random((h, w)) < gen.uniform(0.0, 0.9)
+
+
+@pytest.mark.parametrize("size", imaging.BLUR_SIZES)
+def test_blur_matches_uniform_filter_bitwise(size):
+    gen = np.random.default_rng(size)
+    edge_cases = [np.ones((1, 30), bool), np.ones((30, 1), bool), gen.random((2, 2)) < 0.5,
+                  np.ones((1, 1), bool), np.zeros((10, 12), bool), np.ones((9, 13), bool)]
+    for mask in [*edge_cases, *_test_masks(gen, 600)]:
+        expected = ndimage.uniform_filter(mask.astype(np.float64), size=size, mode="constant")
+        assert imaging._blur(mask, size).tobytes() == expected.tobytes(), mask.shape
+
+
+def reference_largest_component(mask):
+    labeled, n = ndimage.label(mask)
+    if n == 0:
+        return None
+    component = labeled == int(np.argmax(np.bincount(labeled.ravel())[1:])) + 1
+    rows, cols = np.nonzero(component)
+    return component.astype(np.uint8), (int(np.floor(rows.mean() + 0.5)), int(np.floor(cols.mean() + 0.5)))
+
+
+def test_largest_component_matches_ndimage_label():
+    gen = np.random.default_rng(4)
+    checkerboard = (np.indices((7, 9)).sum(axis=0) % 2).astype(bool)  # diagonal contacts only
+    two_squares = np.zeros((8, 12), bool)  # equal sizes: the one that starts first wins
+    two_squares[3:6, 1:4] = two_squares[2:5, 8:11] = True
+    edge_cases = [checkerboard, ~checkerboard, np.eye(6, dtype=bool), np.eye(6, dtype=bool)[::-1], two_squares]
+    ties = 0
+    for mask in [*edge_cases, *_test_masks(gen, 1500)]:
+        expected = reference_largest_component(mask)
+        got = imaging._largest_component(mask)
+        if expected is None:
+            assert got is None
+            continue
+        assert got[0].tobytes() == expected[0].tobytes() and got[1] == expected[1], mask.shape
+        sizes = np.sort(np.bincount(ndimage.label(mask)[0].ravel())[1:])
+        ties += sizes.size > 1 and sizes[-1] == sizes[-2]
+    assert ties > 100
+    assert imaging._largest_component(np.zeros((4, 5), bool)) is None
 
 
 def test_hsv_matches_reference_bytes():
