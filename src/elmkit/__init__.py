@@ -32,14 +32,6 @@ from .pipeline import (
 )
 from .shapes import SHAPE_KINDS, ShapePose, synth_shape, synth_shape_dataset
 from .sit2 import Sit2Model, sit2_predict, sit2_train
-from .type_reduction import (
-    FiringInterval,
-    It2RuleBase,
-    ReducedInterval,
-    brute_force_cos,
-    ekm_reduce,
-    nt_defuzz,
-    sc_reduce,
-)
+from .type_reduction import It2RuleBase, brute_force_cos, ekm_reduce, nt_defuzz, sc_reduce
 
 __version__ = "0.1.0"

@@ -41,6 +41,8 @@ class PipelineConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "layer_sizes", tuple(_integer(m, "layer width") for m in self.layer_sizes))
+        if any(isinstance(c, bool) or not isinstance(c, numbers.Real) for c in self.cs):
+            raise ValueError(f"config ridge constants must be numbers, got {list(self.cs)!r}")
         object.__setattr__(self, "cs", tuple(float(c) for c in self.cs))
         object.__setattr__(self, "head_size", _integer(self.head_size, "head_size"))
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))

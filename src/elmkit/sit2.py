@@ -16,13 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import NumericalError, Rng, as_matrix, _solve_spd
-from .type_reduction import (
-    It2RuleBase,
-    ekm_reduce,
-    FiringInterval,
-    firing_batch,
-    sc_reduce_batch,
-)
+from .type_reduction import It2RuleBase, ekm_reduce, firing_batch, sc_reduce_batch
 
 STAGE_INITIALIZED = "initialized"
 STAGE_REFINED = "refined"
@@ -182,14 +176,14 @@ def sit2_train(
             q[:, i] = _product_ridge(phi, xb, t[:, i : i + 1], c, buf)[:, 0]
     del buf  # the score sweeps need none of the p x p buffer
     model = Sit2Model(rules, q, STAGE_REFINED if refine else STAGE_INITIALIZED)
-    return model, _scores(lower, upper, xb, q, n_rules)
+    return model, _scores(sc_reduce_batch, lower, upper, xb, q, n_rules)
 
 
-def _scores(lower, upper, xb, consequents, n_rules):
-    """Per output column, the midpoint of each row's SC-reduced interval."""
+def _scores(reduce, lower, upper, xb, consequents, n_rules):
+    """Per output column, the midpoint of each row's interval as ``reduce`` gives it."""
     scores = np.empty((xb.shape[0], consequents.shape[1]))
     for i in range(consequents.shape[1]):
-        y_l, y_r, _, _ = sc_reduce_batch(lower, upper, _consequent_values(xb, consequents[:, i], n_rules))
+        y_l, y_r, _, _ = reduce(lower, upper, _consequent_values(xb, consequents[:, i], n_rules))
         scores[:, i] = 0.5 * (y_l + y_r)
     return scores
 
@@ -207,12 +201,7 @@ def sit2_predict(model: Sit2Model, x, reducer: str = "sc") -> np.ndarray:
         raise ValueError(f"unknown reducer {reducer!r}")
     lower, upper = firing_batch(model.rules, x)
     xb = _with_bias(x)
-    if reducer == "sc":
-        return _scores(lower, upper, xb, model.consequents, model.n_rules)
-    scores = np.empty((x.shape[0], model.n_outputs))
-    for i in range(model.n_outputs):
-        w = _consequent_values(xb, model.consequents[:, i], model.n_rules)
-        for p in range(x.shape[0]):
-            r = ekm_reduce(FiringInterval(lower[p], upper[p]), w[p])
-            scores[p, i] = 0.5 * (r.y_l + r.y_r)
-    return scores
+    # looked up per call, not bound at import, so a tracer that swaps the
+    # module attributes sees every sweep
+    reduce = sc_reduce_batch if reducer == "sc" else ekm_reduce
+    return _scores(reduce, lower, upper, xb, model.consequents, model.n_rules)

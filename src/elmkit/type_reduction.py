@@ -2,14 +2,17 @@
 
 Rules carry Gaussian antecedents with an uncertain width, so each input
 fires an interval [lower, upper] per rule.  Reducing those intervals and
-the rule consequents to an output interval [y_l, y_r] is done four ways:
+the rule consequents to an output interval [y_l, y_r] is done four ways.
+Each takes (n_samples, n_rules) arrays lower, upper and w; the interval
+reducers return (y_l, y_r, z_l, z_r), where ``z_l[i, j] = 1`` means rule j
+of row i gives y_l its upper strength (0: lower), and ``z_r`` likewise:
 
 * ``brute_force_cos`` - exhaustive search over all binary endpoint
   assignments; the oracle the others are checked against.
 * ``ekm_reduce`` - switch-point iteration over sorted consequents.
 * ``sc_reduce`` - sort-free sweeps with incremental numerator/denominator
-  updates; the route used by the trained classifier.
-* ``nt_defuzz`` - closed-form direct defuzzification (no interval).
+  updates: ``sc_reduce_batch``, which the classifier calls, on checked rows.
+* ``nt_defuzz`` - closed-form direct defuzzification, one value per row.
 
 All reducers are degree-0 homogeneous in the firings: rescaling lower and
 upper jointly by any positive factor leaves every output unchanged.
@@ -64,44 +67,6 @@ class It2RuleBase:
         return self.centers.shape[1]
 
 
-@dataclass(frozen=True)
-class FiringInterval:
-    """Per-rule activation interval, jointly rescaled so max(upper) = 1."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=np.float64).ravel()
-        up = np.asarray(self.upper, dtype=np.float64).ravel()
-        if lo.shape != up.shape or lo.size < 1:
-            raise ValueError("lower and upper must be equal-length nonempty vectors")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(up))):
-            raise ValueError("firing strengths contain NaN or Inf")
-        if np.any(lo < 0.0) or np.any(lo > up):
-            raise ValueError("need 0 <= lower <= upper per rule")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", up)
-
-    @property
-    def n_rules(self) -> int:
-        return self.lower.size
-
-
-@dataclass(frozen=True)
-class ReducedInterval:
-    """COS endpoints plus the binary band assignments that attain them.
-
-    ``z_l[j] = 1`` means rule j contributes its upper strength to y_l
-    (0 means lower); ``z_r`` likewise for y_r.
-    """
-
-    y_l: float
-    y_r: float
-    z_l: np.ndarray
-    z_r: np.ndarray
-
-
 _FIRING_ROWS = 256  # rows per block of firing_batch's squared distances
 
 
@@ -132,18 +97,29 @@ def firing_batch(rules: It2RuleBase, x) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
-def _validated(f: FiringInterval, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    w = np.asarray(w, dtype=np.float64).ravel()
-    if w.size != f.n_rules:
-        raise ValueError(f"need one consequent per rule: {w.size} vs {f.n_rules}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("consequents contain NaN or Inf")
-    if not np.any(f.upper > 0.0):
-        raise ValueError("vacuous firing: every upper strength is zero")
-    return f.lower, f.upper, w
+def _validated(lower, upper, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    lower, upper, w = (np.asarray(a, dtype=np.float64) for a in (lower, upper, w))
+    if lower.ndim != 2 or lower.shape[1] < 1 or not lower.shape == upper.shape == w.shape:
+        raise ValueError("lower, upper and w must be equal (n_samples, n_rules) arrays with >= 1 rule")
+    if not all(np.all(np.isfinite(a)) for a in (lower, upper, w)):
+        raise ValueError("firing strengths or consequents contain NaN or Inf")
+    if np.any(lower < 0.0) or np.any(lower > upper):
+        raise ValueError("need 0 <= lower <= upper per rule")
+    if not np.all(np.any(upper > 0.0, axis=1)):
+        raise ValueError("vacuous firing: a row has all-zero upper strengths")
+    return lower, upper, w
 
 
-def _degenerate_interval(upper: np.ndarray, w: np.ndarray) -> ReducedInterval:
+def _row_by_row(reduce_row, lower, upper, w):
+    """(y_l, y_r, z_l, z_r) of a one-row reducer applied to every row."""
+    y_l, y_r = np.empty(len(w)), np.empty(len(w))
+    z_l, z_r = np.empty(w.shape, dtype=np.int8), np.empty(w.shape, dtype=np.int8)
+    for i in range(len(w)):
+        y_l[i], y_r[i], z_l[i], z_r[i] = reduce_row(lower[i], upper[i], w[i])
+    return y_l, y_r, z_l, z_r
+
+
+def _degenerate_interval(upper: np.ndarray, w: np.ndarray):
     # every lower strength is zero: endpoints are the extreme consequents
     # among rules that can fire at all, attained by firing that rule alone
     active = np.flatnonzero(upper > 0.0)
@@ -153,24 +129,28 @@ def _degenerate_interval(upper: np.ndarray, w: np.ndarray) -> ReducedInterval:
     z_r = np.zeros(w.size, dtype=np.int8)
     z_l[j_min] = 1
     z_r[j_max] = 1
-    return ReducedInterval(float(w[j_min]), float(w[j_max]), z_l, z_r)
+    return float(w[j_min]), float(w[j_max]), z_l, z_r
 
 
 # --------------------------------------------------------------------------
 # exhaustive oracle
 
 
-def brute_force_cos(f: FiringInterval, w) -> ReducedInterval:
+def brute_force_cos(lower, upper, w):
     """Enumerate every binary band assignment and take the extreme outputs.
 
     y(z) = sum(lower + z*delta, w-weighted) / sum(lower + z*delta) with
     delta = upper - lower; assignments with a zero denominator cannot fire
     and are skipped.  Exponential in the rule count, hence the guard.
     """
-    lower, upper, w = _validated(f, w)
+    lower, upper, w = _validated(lower, upper, w)
+    if w.shape[1] > 20:
+        raise ValueError(f"brute force is limited to 20 rules, got {w.shape[1]}")
+    return _row_by_row(_brute_force_row, lower, upper, w)
+
+
+def _brute_force_row(lower: np.ndarray, upper: np.ndarray, w: np.ndarray):
     m = w.size
-    if m > 20:
-        raise ValueError(f"brute force is limited to 20 rules, got {m}")
     delta = upper - lower
     dw = delta * w
     base_num = float((lower * w).sum())
@@ -199,7 +179,7 @@ def brute_force_cos(f: FiringInterval, w) -> ReducedInterval:
             z_max = z[i_hi].astype(np.int8)
     if z_min is None:
         raise ValueError("vacuous firing: no assignment has positive weight")
-    return ReducedInterval(best_min, best_max, z_min, z_max)
+    return best_min, best_max, z_min, z_max
 
 
 # --------------------------------------------------------------------------
@@ -240,13 +220,16 @@ def _ekm_endpoint(w: np.ndarray, lower: np.ndarray, upper: np.ndarray, left: boo
     raise NumericalError("switch-point iteration did not settle")
 
 
-def ekm_reduce(f: FiringInterval, w) -> ReducedInterval:
-    """Exact COS endpoints by switch-point search over sorted consequents."""
-    lower, upper, w = _validated(f, w)
+def ekm_reduce(lower, upper, w):
+    """Exact COS endpoints of every row by switch-point search over sorted consequents."""
+    return _row_by_row(_ekm_row, *_validated(lower, upper, w))
+
+
+def _ekm_row(lower: np.ndarray, upper: np.ndarray, w: np.ndarray):
     m = w.size
     if m == 1:
         one = np.ones(1, dtype=np.int8)
-        return ReducedInterval(float(w[0]), float(w[0]), one, one)
+        return float(w[0]), float(w[0]), one, one
     if not np.any(lower > 0.0):
         return _degenerate_interval(upper, w)
     order = np.argsort(w, kind="stable")
@@ -257,31 +240,26 @@ def ekm_reduce(f: FiringInterval, w) -> ReducedInterval:
     z_r = np.zeros(m, dtype=np.int8)
     z_l[order[:k_l]] = 1  # leading ranks use the upper band for y_l
     z_r[order[k_r:]] = 1  # trailing ranks use the upper band for y_r
-    return ReducedInterval(float(y_l), float(y_r), z_l, z_r)
+    return float(y_l), float(y_r), z_l, z_r
 
 
 # --------------------------------------------------------------------------
 # closed-form direct defuzzification
 
 
-def nt_defuzz(f: FiringInterval, w) -> float:
-    """Weighted mean of consequents under lower + upper strengths."""
-    lower, upper, w = _validated(f, w)
-    den = lower.sum() + upper.sum()
-    if den <= 0.0:
-        raise ValueError("vacuous firing: strengths sum to zero")
-    return float(((lower + upper) * w).sum() / den)
+def nt_defuzz(lower, upper, w) -> np.ndarray:
+    """Per row, the weighted mean of consequents under lower + upper strengths."""
+    lower, upper, w = _validated(lower, upper, w)
+    return ((lower + upper) * w).sum(axis=1) / (lower.sum(axis=1) + upper.sum(axis=1))
 
 
 # --------------------------------------------------------------------------
 # sort-free sweeps
 
 
-def sc_reduce(f: FiringInterval, w) -> ReducedInterval:
-    """Exact COS endpoints without sorting: a one-row ``sc_reduce_batch``."""
-    lower, upper, w = _validated(f, w)
-    y_l, y_r, z_l, z_r = sc_reduce_batch(lower[None], upper[None], w[None])
-    return ReducedInterval(float(y_l[0]), float(y_r[0]), z_l[0], z_r[0])
+def sc_reduce(lower, upper, w):
+    """``sc_reduce_batch`` on checked rows; the model path calls the batch routine unchecked."""
+    return sc_reduce_batch(*_validated(lower, upper, w))
 
 
 def sc_reduce_batch(lower: np.ndarray, upper: np.ndarray, w: np.ndarray):
@@ -313,8 +291,7 @@ def sc_reduce_batch(lower: np.ndarray, upper: np.ndarray, w: np.ndarray):
     degen = ~np.any(lower > 0.0, axis=1)
     live = np.flatnonzero(~degen)
     for i in np.flatnonzero(degen):
-        r = _degenerate_interval(upper[i], w[i])
-        y_l[i], y_r[i], z_l[i], z_r[i] = r.y_l, r.y_r, r.z_l, r.z_r
+        y_l[i], y_r[i], z_l[i], z_r[i] = _degenerate_interval(upper[i], w[i])
     if live.size == 0:
         return y_l, y_r, z_l, z_r
     lo, up, ww = (lower, upper, w) if live.size == p else (lower[live], upper[live], w[live])

@@ -30,14 +30,7 @@ from elmkit.pipeline import PipelineConfig, hml_predict, hml_train, one_hot
 from elmkit.shapes import synth_shape_dataset
 from elmkit import sit2
 from elmkit.sit2 import _with_bias, sit2_predict, sit2_train
-from elmkit.type_reduction import (
-    FiringInterval,
-    brute_force_cos,
-    ekm_reduce,
-    firing_batch,
-    nt_defuzz,
-    sc_reduce,
-)
+from elmkit.type_reduction import brute_force_cos, ekm_reduce, firing_batch, nt_defuzz, sc_reduce
 
 from conftest import DIGITS_CONFIG, SHAPES_CONFIG
 
@@ -75,6 +68,7 @@ def test_reducer_oracle_equivalence_and_nt_containment():
 
 def test_reducer_scale_invariance():
     gen = Rng(314).generator()
+    interval_reducers = (sc_reduce, ekm_reduce, brute_force_cos)
     worst = 0.0
     for _ in range(200):
         m = int(gen.integers(2, 13))
@@ -82,25 +76,14 @@ def test_reducer_scale_invariance():
         upper[gen.integers(m)] = 1.0
         lower = upper * gen.uniform(0.0, 1.0, m)
         w = gen.uniform(-10.0, 10.0, m)
-        base_sc = sc_reduce(FiringInterval(lower, upper), w)
-        base_ekm = ekm_reduce(FiringInterval(lower, upper), w)
-        base_bf = brute_force_cos(FiringInterval(lower, upper), w)
-        base_nt = nt_defuzz(FiringInterval(lower, upper), w)
+        base = [fn(lower[None], upper[None], w[None]) for fn in interval_reducers]
+        base_nt = nt_defuzz(lower[None], upper[None], w[None])[0]
         for lam in (1e-6, 1.0, 1e6):
-            f = FiringInterval(lower * lam, upper * lam)
-            s = sc_reduce(f, w)
-            e = ekm_reduce(f, w)
-            b = brute_force_cos(f, w)
-            worst = max(
-                worst,
-                rel(s.y_l, base_sc.y_l),
-                rel(s.y_r, base_sc.y_r),
-                rel(e.y_l, base_ekm.y_l),
-                rel(e.y_r, base_ekm.y_r),
-                rel(b.y_l, base_bf.y_l),
-                rel(b.y_r, base_bf.y_r),
-                rel(nt_defuzz(f, w), base_nt),
-            )
+            scaled = (lower[None] * lam, upper[None] * lam, w[None])
+            for fn, b in zip(interval_reducers, base):
+                r = fn(*scaled)
+                worst = max(worst, rel(r[0][0], b[0][0]), rel(r[1][0], b[1][0]))
+            worst = max(worst, rel(nt_defuzz(*scaled)[0], base_nt))
     ok = worst <= 1e-12
     verdict("reducer scale invariance", ok, f"max rel change {worst:.2e} over {{1e-6,1,1e6}}")
     assert ok

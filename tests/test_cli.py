@@ -285,6 +285,9 @@ def test_malformed_config_values_are_usage_errors(blob_manifest, capsys):
         {"layer_sizes": [4], "Cs": [1, 1], "head_size": 3.9},
         {"layer_sizes": [4], "Cs": [1, 1], "head_size": False},
         {"layer_sizes": [4], "Cs": [1, 1], "seed": 1.5},
+        # ridge constants are JSON numbers: no strings, no booleans
+        {"layer_sizes": [4], "Cs": ["1e3", 1e6]},
+        {"layer_sizes": [4], "Cs": [1e3, True]},
     ]
     for bad in bad_configs:
         cfg.write_text(json.dumps(bad))

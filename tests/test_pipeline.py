@@ -1,3 +1,4 @@
+import json
 import numpy as np
 import pytest
 
@@ -167,3 +168,6 @@ def test_config_accepts_infinite_ridge_constant():
     cfg = PipelineConfig((4,), (1e3, math.inf), head="ridge")
     assert math.isinf(cfg.cs[-1])
     assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
+    # integers are numbers too; JSON's Infinity parses to the same float
+    parsed = PipelineConfig.from_dict(json.loads('{"layer_sizes": [4], "Cs": [1000, Infinity], "head": "ridge"}'))
+    assert parsed.cs == (1000.0, math.inf) and all(type(c) is float for c in parsed.cs)

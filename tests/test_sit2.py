@@ -20,7 +20,7 @@ from elmkit.sit2 import (
     sit2_predict,
     sit2_train,
 )
-from elmkit.type_reduction import It2RuleBase, firing_batch
+from elmkit.type_reduction import It2RuleBase, ekm_reduce, firing_batch
 
 
 def two_blobs(n_per_class=40, seed=60):
@@ -96,6 +96,19 @@ def test_ekm_and_sc_predictions_agree():
     a = sit2_predict(model, test_x, reducer="sc")
     b = sit2_predict(model, test_x, reducer="ekm")
     assert np.abs(a - b).max() < 1e-9
+
+
+def test_ekm_predictions_are_ekm_reduce_midpoints_bitwise():
+    x, t, _ = two_blobs(30)
+    model, _ = sit2_train(x, t, 5, Rng(9), c=1e5)
+    test_x = Rng(10).generator().uniform(0, 1, (25, 2))
+    scores = sit2_predict(model, test_x, reducer="ekm")
+    lower, upper = firing_batch(model.rules, test_x)
+    w = _with_bias(test_x) @ model.consequents.reshape(model.n_rules, -1, model.n_outputs).transpose(2, 1, 0)
+    for p in range(test_x.shape[0]):
+        for i in range(model.n_outputs):
+            y_l, y_r, _, _ = ekm_reduce(lower[p : p + 1], upper[p : p + 1], w[i, p : p + 1])
+            assert scores[p, i].tobytes() == (0.5 * (y_l[0] + y_r[0])).tobytes(), (p, i)
 
 
 def test_unknown_reducer_rejected():
@@ -240,7 +253,8 @@ def test_sit2_train_scores_are_its_predictions(n_per_class, n_rules, refine):
 
 def test_benchmark_tracer_binds_sit2_train_by_name(monkeypatch):
     # perfbench/spans.py binds each sit2_train call's arguments by name,
-    # defaults applied, and passes them to head_counts
+    # defaults applied, and passes them to head_counts; it sees a reducer
+    # only where sit2 looks the reducer up at call time
     spec = importlib.util.spec_from_file_location(
         "perfbench_spans", pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     )
@@ -250,7 +264,15 @@ def test_benchmark_tracer_binds_sit2_train_by_name(monkeypatch):
     x, t, labels = two_blobs()
     tracer = spans.Tracer()
     with tracer.recording(0):
-        hml_train(x, labels, PipelineConfig((), (1e4,), head="sit2", head_size=3))
+        model = hml_train(x, labels, PipelineConfig((), (1e4,), head="sit2", head_size=3))
+        feats = model.scaler.transform(x)
+        sit2.sit2_predict(model.head, feats, reducer="sc")
+        sit2.sit2_predict(model.head, feats, reducer="ekm")
     # 3 rules on 2 inputs plus bias: a primal Gram of order 9, one initial and two class solves
     expected = dict(zip(spans.HEAD_COUNTS, (9, 3, 3 * 9**3 / 3.0, 8 * 9**2)))
     assert tracer.heads == [(0, expected)]
+    # every SC sweep is seen: two refinements and two score columns in training, two
+    # score columns in the "sc" predict, none in the "ekm" one; one firing per call
+    names = [span.name for span in tracer.spans]
+    assert names.count("type_reduction.sc_reduce_batch") == 6
+    assert names.count("type_reduction.firing_batch") == 3

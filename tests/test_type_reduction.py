@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from elmkit.numerics import Rng
 from elmkit.sit2 import STAGE_REFINED, Sit2Model, sit2_predict
 from elmkit.type_reduction import (
-    FiringInterval,
     It2RuleBase,
     brute_force_cos,
     ekm_reduce,
@@ -20,7 +19,7 @@ from elmkit.type_reduction import (
 
 
 def random_instance(gen, n_rules, zero_lower="some"):
-    """Random valid firing interval + consequents in [-10, 10]."""
+    """One random valid row: (lower, upper, w), each 1 x n_rules, consequents in [-10, 10]."""
     upper = gen.uniform(0.0, 1.0, n_rules)
     upper[gen.integers(n_rules)] = 1.0  # keep at least one rule live
     lower = upper * gen.uniform(0.0, 1.0, n_rules)
@@ -29,7 +28,12 @@ def random_instance(gen, n_rules, zero_lower="some"):
     elif zero_lower == "all":
         lower[:] = 0.0
     w = gen.uniform(-10.0, 10.0, n_rules)
-    return FiringInterval(lower, upper), w
+    return lower[None], upper[None], w[None]
+
+
+def row(lower, upper, w):
+    """A one-row reducer input from per-rule lists."""
+    return tuple(np.array([v], dtype=np.float64) for v in (lower, upper, w))
 
 
 # --------------------------------------------------------------------------
@@ -122,86 +126,99 @@ def test_firing_batch_matches_reference_across_row_blocks(p):
 
 @pytest.mark.parametrize("reduce_fn", [sc_reduce, ekm_reduce, brute_force_cos])
 def test_single_rule_returns_its_consequent(reduce_fn):
-    f = FiringInterval([0.4], [0.9])
-    r = reduce_fn(f, [3.5])
-    assert r.y_l == pytest.approx(3.5, rel=1e-14)
-    assert r.y_r == pytest.approx(3.5, rel=1e-14)
+    y_l, y_r, _, _ = reduce_fn(*row([0.4], [0.9], [3.5]))
+    assert y_l[0] == pytest.approx(3.5, rel=1e-14)
+    assert y_r[0] == pytest.approx(3.5, rel=1e-14)
 
 
 def test_single_rule_band_convention():
     # sweep-based reducers report the all-upper assignment for one rule;
     # the oracle may return any attaining vertex, so it is not pinned here
     for fn in (sc_reduce, ekm_reduce):
-        r = fn(FiringInterval([0.4], [0.9]), [3.5])
-        assert r.z_l[0] == 1 and r.z_r[0] == 1
+        _, _, z_l, z_r = fn(*row([0.4], [0.9], [3.5]))
+        assert z_l[0, 0] == 1 and z_r[0, 0] == 1
 
 
 @pytest.mark.parametrize("reduce_fn", [sc_reduce, ekm_reduce, brute_force_cos])
 def test_zero_fou_is_crisp_weighted_mean(reduce_fn):
-    f = FiringInterval([0.25, 0.75], [0.25, 0.75])
-    w = np.array([2.0, 6.0])
-    r = reduce_fn(f, w)
+    y_l, y_r, _, _ = reduce_fn(*row([0.25, 0.75], [0.25, 0.75], [2.0, 6.0]))
     expected = (0.25 * 2.0 + 0.75 * 6.0) / 1.0
-    assert r.y_l == pytest.approx(expected, rel=1e-12)
-    assert r.y_r == pytest.approx(expected, rel=1e-12)
+    assert y_l[0] == pytest.approx(expected, rel=1e-12)
+    assert y_r[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_full_fou_endpoints_are_extreme_consequents():
-    f = FiringInterval([0.0, 0.0], [1.0, 1.0])
-    r = brute_force_cos(f, [0.0, 1.0])
-    assert (r.y_l, r.y_r) == (0.0, 1.0)
+    y_l, y_r, _, _ = brute_force_cos(*row([0.0, 0.0], [1.0, 1.0], [0.0, 1.0]))
+    assert (y_l[0], y_r[0]) == (0.0, 1.0)
 
 
 def test_degenerate_all_zero_lower_consistent_across_reducers():
-    f = FiringInterval([0.0, 0.0, 0.0], [0.5, 1.0, 0.0])
-    w = np.array([4.0, -2.0, -9.0])  # the -9 rule cannot fire at all
+    f = row([0.0, 0.0, 0.0], [0.5, 1.0, 0.0], [4.0, -2.0, -9.0])  # the -9 rule cannot fire at all
     for fn in (sc_reduce, ekm_reduce, brute_force_cos):
-        r = fn(f, w)
-        assert (r.y_l, r.y_r) == (-2.0, 4.0)
+        y_l, y_r, _, _ = fn(*f)
+        assert (y_l[0], y_r[0]) == (-2.0, 4.0)
 
 
 def test_nt_hand_computed():
-    f = FiringInterval([0.2, 0.4], [0.6, 0.8])
-    assert nt_defuzz(f, [1.0, 2.0]) == pytest.approx(3.2 / 2.0)
+    assert nt_defuzz(*row([0.2, 0.4], [0.6, 0.8], [1.0, 2.0]))[0] == pytest.approx(3.2 / 2.0)
 
 
 def test_nt_single_rule():
-    assert nt_defuzz(FiringInterval([0.2], [0.9]), [5.0]) == 5.0
+    assert nt_defuzz(*row([0.2], [0.9], [5.0]))[0] == 5.0
 
 
 def test_nt_zero_fou_equals_crisp_mean():
-    f = FiringInterval([0.25, 0.75], [0.25, 0.75])
-    assert nt_defuzz(f, [2.0, 6.0]) == pytest.approx(5.0)
+    assert nt_defuzz(*row([0.25, 0.75], [0.25, 0.75], [2.0, 6.0]))[0] == pytest.approx(5.0)
 
 
-@pytest.mark.parametrize("fn", [sc_reduce, ekm_reduce, brute_force_cos, lambda f, w: nt_defuzz(f, w)])
+@pytest.mark.parametrize("fn", [sc_reduce, ekm_reduce, brute_force_cos, lambda *f: nt_defuzz(*f)])
 def test_vacuous_firing_raises(fn):
-    f = FiringInterval([0.0, 0.0], [0.0, 0.0])
     with pytest.raises(ValueError, match="vacuous"):
-        fn(f, [1.0, 2.0])
+        fn(*row([0.0, 0.0], [0.0, 0.0], [1.0, 2.0]))
+    # a vacuous row among live ones is refused too
+    with pytest.raises(ValueError, match="vacuous"):
+        fn([[0.5, 0.5], [0.0, 0.0]], [[1.0, 1.0], [0.0, 0.0]], [[1.0, 2.0], [1.0, 2.0]])
+
+
+@pytest.mark.parametrize("fn", [sc_reduce, ekm_reduce, brute_force_cos, nt_defuzz])
+def test_reducers_check_their_rows(fn):
+    good = ([[0.2, 0.5]], [[0.4, 1.0]], [[1.0, 2.0]])
+    fn(*good)
+    bad = [
+        (([0.2, 0.5], [0.4, 1.0], [1.0, 2.0]), "n_rules"),  # one-dimensional
+        ((np.zeros((1, 0)), np.zeros((1, 0)), np.zeros((1, 0))), "n_rules"),
+        (([[0.2, 0.5]], [[0.4, 1.0]], [[1.0, 2.0, 3.0]]), "n_rules"),
+        (([[0.2, np.nan]], [[0.4, 1.0]], [[1.0, 2.0]]), "NaN or Inf"),
+        (([[0.2, 0.5]], [[0.4, np.inf]], [[1.0, 2.0]]), "NaN or Inf"),
+        (([[0.2, 0.5]], [[0.4, 1.0]], [[np.nan, 2.0]]), "NaN or Inf"),
+        (([[-0.1, 0.5]], [[0.4, 1.0]], [[1.0, 2.0]]), "lower <= upper"),
+        (([[0.5, 0.5]], [[0.4, 1.0]], [[1.0, 2.0]]), "lower <= upper"),
+    ]
+    for args, message in bad:
+        with pytest.raises(ValueError, match=message):
+            fn(*args)
 
 
 def test_brute_force_guard():
-    f = FiringInterval(np.zeros(21), np.ones(21))
     with pytest.raises(ValueError, match="20 rules"):
-        brute_force_cos(f, np.zeros(21))
+        brute_force_cos(*row(np.zeros(21), np.ones(21), np.zeros(21)))
 
 
 def test_defuzz_midpoint():
-    r = sc_reduce(FiringInterval([0.0, 0.0], [1.0, 1.0]), [0.0, 2.0])
-    assert 0.5 * (r.y_l + r.y_r) == pytest.approx(1.0)
-    crisp = sc_reduce(FiringInterval([0.5], [0.5]), [4.0])
-    assert 0.5 * (crisp.y_l + crisp.y_r) == 4.0
+    y_l, y_r, _, _ = sc_reduce(*row([0.0, 0.0], [1.0, 1.0], [0.0, 2.0]))
+    assert 0.5 * (y_l[0] + y_r[0]) == pytest.approx(1.0)
+    y_l, y_r, _, _ = sc_reduce(*row([0.5], [0.5], [4.0]))
+    assert 0.5 * (y_l[0] + y_r[0]) == 4.0
 
 
 def test_defuzz_agrees_across_reducers():
     gen = Rng(606).generator()
     for _ in range(100):
         m = int(gen.integers(2, 11))
-        f, w = random_instance(gen, m)
-        sc, ekm = sc_reduce(f, w), ekm_reduce(f, w)
-        mid_sc = 0.5 * (sc.y_l + sc.y_r)
-        mid_ekm = 0.5 * (ekm.y_l + ekm.y_r)
+        f = random_instance(gen, m)
+        sc, ekm = sc_reduce(*f), ekm_reduce(*f)
+        mid_sc = 0.5 * (sc[0][0] + sc[1][0])
+        mid_ekm = 0.5 * (ekm[0][0] + ekm[1][0])
         assert rel_err(mid_sc, mid_ekm) < 1e-9
 
 
@@ -218,35 +235,35 @@ def test_reducers_agree_with_oracle(zero_lower):
     gen = Rng(2024).generator()
     for trial in range(300):
         m = int(gen.integers(2, 13))
-        f, w = random_instance(gen, m, zero_lower=zero_lower)
-        ref = brute_force_cos(f, w)
+        f = random_instance(gen, m, zero_lower=zero_lower)
+        ref = brute_force_cos(*f)
         for fn in (sc_reduce, ekm_reduce):
-            r = fn(f, w)
-            assert rel_err(r.y_l, ref.y_l) < 1e-9, (trial, fn.__name__)
-            assert rel_err(r.y_r, ref.y_r) < 1e-9, (trial, fn.__name__)
+            r = fn(*f)
+            assert rel_err(r[0][0], ref[0][0]) < 1e-9, (trial, fn.__name__)
+            assert rel_err(r[1][0], ref[1][0]) < 1e-9, (trial, fn.__name__)
 
 
 def test_nt_contained_in_reduced_interval():
     gen = Rng(31).generator()
     for _ in range(300):
         m = int(gen.integers(2, 13))
-        f, w = random_instance(gen, m)
-        if not np.any(f.lower + f.upper):
+        lower, upper, w = random_instance(gen, m)
+        if not np.any(lower + upper):
             continue
-        ref = brute_force_cos(f, w)
-        y = nt_defuzz(f, w)
-        slack = 1e-12 * max(1.0, abs(ref.y_l), abs(ref.y_r))
-        assert ref.y_l - slack <= y <= ref.y_r + slack
+        y_l, y_r, _, _ = brute_force_cos(lower, upper, w)
+        y = nt_defuzz(lower, upper, w)[0]
+        slack = 1e-12 * max(1.0, abs(y_l[0]), abs(y_r[0]))
+        assert y_l[0] - slack <= y <= y_r[0] + slack
 
 
 def test_enclosure_by_consequent_range():
     gen = Rng(77).generator()
     for _ in range(200):
         m = int(gen.integers(1, 13))
-        f, w = random_instance(gen, m)
-        r = sc_reduce(f, w)
-        assert w.min() - 1e-12 <= r.y_l <= r.y_r + 1e-12
-        assert r.y_r <= w.max() + 1e-12
+        lower, upper, w = random_instance(gen, m)
+        y_l, y_r, _, _ = sc_reduce(lower, upper, w)
+        assert w.min() - 1e-12 <= y_l[0] <= y_r[0] + 1e-12
+        assert y_r[0] <= w.max() + 1e-12
 
 
 @pytest.mark.parametrize("lam", [1e-6, 1.0, 1e6])
@@ -254,24 +271,23 @@ def test_scale_invariance(lam):
     gen = Rng(55).generator()
     for _ in range(50):
         m = int(gen.integers(2, 10))
-        f, w = random_instance(gen, m)
-        g = FiringInterval(f.lower * lam, f.upper * lam)
-        a, b = sc_reduce(f, w), sc_reduce(g, w)
-        assert rel_err(a.y_l, b.y_l) < 1e-12
-        assert rel_err(a.y_r, b.y_r) < 1e-12
-        if np.any(f.lower + f.upper):
-            assert rel_err(nt_defuzz(f, w), nt_defuzz(g, w)) < 1e-12
+        lower, upper, w = random_instance(gen, m)
+        a, b = sc_reduce(lower, upper, w), sc_reduce(lower * lam, upper * lam, w)
+        assert rel_err(a[0][0], b[0][0]) < 1e-12
+        assert rel_err(a[1][0], b[1][0]) < 1e-12
+        if np.any(lower + upper):
+            assert rel_err(nt_defuzz(lower, upper, w)[0], nt_defuzz(lower * lam, upper * lam, w)[0]) < 1e-12
 
 
 def test_sc_z_vectors_reproduce_endpoints():
     gen = Rng(99).generator()
     for _ in range(100):
         m = int(gen.integers(2, 10))
-        f, w = random_instance(gen, m)
-        r = sc_reduce(f, w)
-        for z, y in ((r.z_l, r.y_l), (r.z_r, r.y_r)):
-            u = f.lower + z * (f.upper - f.lower)
-            assert rel_err(float((u * w).sum() / u.sum()), y) < 1e-9
+        lower, upper, w = random_instance(gen, m)
+        y_l, y_r, z_l, z_r = sc_reduce(lower, upper, w)
+        for z, y in ((z_l, y_l), (z_r, y_r)):
+            u = lower + z * (upper - lower)
+            assert rel_err(float((u * w).sum() / u.sum()), y[0]) < 1e-9
 
 
 # strengths are either exactly zero or within 1e-6 of the per-row maximum 1;
@@ -296,11 +312,11 @@ def test_sc_matches_oracle_property(data):
     )
     if not np.any(upper > 0):
         return
-    f = FiringInterval(upper * frac, upper)
-    ref = brute_force_cos(f, w)
-    r = sc_reduce(f, w)
-    assert rel_err(r.y_l, ref.y_l) < 1e-9
-    assert rel_err(r.y_r, ref.y_r) < 1e-9
+    f = row(upper * frac, upper, w)
+    ref = brute_force_cos(*f)
+    r = sc_reduce(*f)
+    assert rel_err(r[0][0], ref[0][0]) < 1e-9
+    assert rel_err(r[1][0], ref[1][0]) < 1e-9
 
 
 # --------------------------------------------------------------------------
@@ -357,9 +373,7 @@ def reference_sc(lower, upper, w, passes=None):
 def batch_rows(seed, n_rows, n_rules):
     gen = Rng(seed).generator()
     rows = [random_instance(gen, n_rules) for _ in range(n_rows)]
-    lower = np.array([f.lower for f, _ in rows])
-    upper = np.array([f.upper for f, _ in rows])
-    return lower, upper, np.array([w for _, w in rows])
+    return tuple(np.vstack(a) for a in zip(*rows))
 
 
 def assert_batch_matches_reference(lower, upper, w):
@@ -379,9 +393,9 @@ def assert_rows_match_reference(lower, upper, w):
     y_l, y_r, z_l, z_r = sc_reduce_batch(lower, upper, w)
     for i in range(w.shape[0]):
         # the same row reduced alone, through the one-row view
-        r = sc_reduce(FiringInterval(lower[i], upper[i]), w[i])
-        assert (r.y_l, r.y_r) == (y_l[i], y_r[i]), i
-        assert np.array_equal(r.z_l, z_l[i]) and np.array_equal(r.z_r, z_r[i]), i
+        r = sc_reduce(lower[i : i + 1], upper[i : i + 1], w[i : i + 1])
+        assert (r[0][0], r[1][0]) == (y_l[i], y_r[i]), i
+        assert np.array_equal(r[2][0], z_l[i]) and np.array_equal(r[3][0], z_r[i]), i
 
 
 def test_batch_sc_matches_scalar_bitwise():
@@ -432,6 +446,30 @@ def test_batch_sc_matches_reference_at_head_scale():
     # rows settle after different numbers of sweeps, so the dense update
     # runs with rows that have stopped flipping beside rows that have not
     assert {2, 3, 4} <= set(passes), sorted(set(passes))
+
+
+def switch_condition_violations(lower, upper, w):
+    """Rule bands of sc_reduce_batch's assignments on the wrong side of their endpoint.
+
+    Where a rule's band has width, y_l needs the upper band for every
+    consequent below y_l and the lower band above it; y_r the mirror image.
+    Consequents within 1e-9 relative of the endpoint may take either band.
+    """
+    y_l, y_r, z_l, z_r = sc_reduce_batch(lower, upper, w)
+    wide = upper > lower
+    count = 0
+    for y, z, below in ((y_l, z_l, 1), (y_r, z_r, 0)):
+        tol = 1e-9 * np.maximum(1.0, np.abs(y))[:, None]
+        count += int((wide & (w < y[:, None] - tol) & (z != below)).sum())
+        count += int((wide & (w > y[:, None] + tol) & (z != 1 - below)).sum())
+    return count
+
+
+def test_sc_switch_condition_holds_on_every_row_at_head_scale():
+    ties = head_scale_rows(407, 90)
+    ties[0][[3, 20, 50]] = 0.0
+    for lower, upper, w in (head_scale_rows(406, 240), ties, head_scale_rows(500, 1000)):
+        assert switch_condition_violations(lower, upper, w) == 0
 
 
 def test_batch_sc_matches_reference_on_ties_and_degenerate_rows():
