@@ -293,7 +293,6 @@ def cmd_oracle(args) -> int:
 def cmd_synth(args) -> int:
     if args.n_per_class < 1:
         raise ValueError("n-per-class must be >= 1")
-    os.makedirs(args.out, exist_ok=True)
     ds, samples = synth_shape_dataset(
         args.n_per_class,
         args.noise,
@@ -302,6 +301,7 @@ def cmd_synth(args) -> int:
         side=args.side,
         keep_frames=args.samples,
     )
+    os.makedirs(args.out, exist_ok=True)
     images_path = os.path.join(args.out, "images.idx")
     labels_path = os.path.join(args.out, "labels.idx")
     save_idx(ds.x, ds.labels, images_path, labels_path, args.side, args.side)

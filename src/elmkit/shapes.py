@@ -8,6 +8,7 @@ patches, which is how the bundled 4-class benchmark dataset is built.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +106,19 @@ def synth_shape(kind: str, pose: ShapePose, noise_level: float, rng: Rng, frame_
     return ImageFrame(pixels, "rgb8"), SHAPE_KINDS.index(kind)
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _patch_of(kind: str, pose: ShapePose, noise_level: float, rng: Rng, frame_shape, side: int, keep: bool):
+    """Render, segment and patch one frame; returns (patch, label, frame if ``keep``)."""
+    frame, label = synth_shape(kind, pose, noise_level, rng, frame_shape)
+    mask, centroid = segment_object(frame, *HUE_BAND)
+    return extract_patch(mask, centroid, side), label, frame if keep else None
+
+
 def synth_shape_dataset(
     n_per_class: int,
     noise_level: float,
@@ -117,20 +131,24 @@ def synth_shape_dataset(
 
     Returns (dataset, sample_frames): a LabeledDataset of flattened binary
     patches plus up to ``keep_frames`` rendered frames per class for
-    inspection.
+    inspection.  Frames are rendered side by side, one thread per CPU the
+    process may use; each frame draws from its own stream, so the bytes do
+    not depend on that count.
     """
     if n_per_class < 1:
         raise ValueError("n_per_class must be >= 1")
+    if side < 1:
+        raise ValueError(f"side must be >= 1, got {side}")
     h, w = int(frame_shape[0]), int(frame_shape[1])
+    # under 32 px, scale_hi falls below the 8 px scale floor
+    if min(h, w) < 32:
+        raise ValueError(f"frame {h}x{w} is too small for the pose margins")
     scale_hi = min(h, w) / 4.0
     scale_lo = max(8.0, scale_hi * 0.55)
     margin = int(np.ceil(scale_hi)) + 6
-    if 2 * margin >= min(h, w):
-        raise ValueError(f"frame {h}x{w} is too small for the pose margins")
     gen = rng.split(0).generator()
-    rows, labels, samples = [], [], []
-    frame_idx = 0
-    for class_idx, kind in enumerate(SHAPE_KINDS):
+    jobs = []  # (kind, pose, frame index, keep), class-major like the poses' draws
+    for kind in SHAPE_KINDS:
         for i in range(n_per_class):
             pose = ShapePose(
                 scale=float(gen.uniform(scale_lo, scale_hi)),
@@ -140,11 +158,21 @@ def synth_shape_dataset(
                     int(gen.integers(margin, w - margin)),
                 ),
             )
-            frame, label = synth_shape(kind, pose, noise_level, rng.split(1 + frame_idx), frame_shape)
-            frame_idx += 1
-            mask, centroid = segment_object(frame, *HUE_BAND)
-            rows.append(extract_patch(mask, centroid, side))
-            labels.append(label)
-            if i < keep_frames:
-                samples.append(frame)
+            jobs.append((kind, pose, len(jobs), i < keep_frames))
+    # the noise draw and numpy's loops over whole frames release the GIL;
+    # imported here because it loads logging, which `import elmkit` should not pay for
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(min(len(jobs), _usable_cpus()))
+    try:
+        futures = [
+            pool.submit(_patch_of, kind, pose, noise_level, rng.split(1 + idx), frame_shape, side, keep)
+            for kind, pose, idx, keep in jobs
+        ]
+        # in frame order, so the first failing frame raises, as a serial loop would
+        results = [f.result() for f in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+    rows, labels, frames = zip(*results)
+    samples = [f for f in frames if f is not None]
     return LabeledDataset(np.array(rows), np.array(labels), SHAPE_KINDS), samples

@@ -258,6 +258,29 @@ def test_segment_cli_rejects_zero_threshold(tmp_path, capsys):
     assert "threshold" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "option, named",
+    [
+        (["--side", "0"], "side"),
+        (["--side", "-4"], "side"),
+        (["--frame-size", "26"], "too small for the pose margins"),
+        (["--frame-size", "27"], "too small for the pose margins"),
+        (["--frame-size", "31"], "too small for the pose margins"),
+    ],
+    ids=["side-0", "side-minus-4", "frame-26", "frame-27", "frame-31"],
+)
+def test_malformed_synth_options_are_usage_errors(tmp_path, option, named, capsys):
+    out = tmp_path / "shapes"
+    assert main(["synth", "--out", str(out), "--n-per-class", "2", *option]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_accepts_the_smallest_frame(tmp_path):
+    assert main(["synth", "--out", str(tmp_path), "--n-per-class", "2", "--frame-size", "32"]) == 0
+    assert (tmp_path / "manifest.json").exists()
+
+
 def test_unknown_config_key_is_usage_error(blob_manifest, capsys):
     tmp, manifest, _ = blob_manifest
     cfg = tmp / "bad.json"

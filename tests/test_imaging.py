@@ -2,13 +2,14 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
 import elmkit
-from elmkit import imaging
+from elmkit import imaging, shapes
 from elmkit.imaging import (
     ImageFrame,
     extract_patch,
@@ -349,6 +350,112 @@ def test_patch_digest_is_pinned():
     ds, _ = synth_shape_dataset(5, 0.25, Rng(42))
     digest = hashlib.sha256(ds.x.tobytes() + ds.labels.tobytes()).hexdigest()
     assert digest == "b290d7aca2da42a3885e414c2f765a12dd5c4b78d2f046c71978de3b9d200175"
+
+
+def serial_shape_dataset(n_per_class, noise_level, rng, keep_frames):
+    """120 x 120 frames one after another: the poses drawn class-major from
+    ``rng.split(0)``, frame k rendered from ``rng.split(1 + k)``."""
+    scale_lo, scale_hi, margin = 16.5, 30.0, 36
+    gen = rng.split(0).generator()
+    rows, labels, samples = [], [], []
+    for kind in shapes.SHAPE_KINDS:
+        for i in range(n_per_class):
+            pose = ShapePose(
+                float(gen.uniform(scale_lo, scale_hi)),
+                float(gen.uniform(0.0, 2.0 * np.pi)),
+                (int(gen.integers(margin, 120 - margin)), int(gen.integers(margin, 120 - margin))),
+            )
+            frame, label = synth_shape(kind, pose, noise_level, rng.split(1 + len(rows)))
+            mask, centroid = segment_object(frame, *HUE_BAND)
+            rows.append(extract_patch(mask, centroid))
+            labels.append(label)
+            if i < keep_frames:
+                samples.append(frame)
+    return np.array(rows), np.array(labels), samples
+
+
+def calling_threads(monkeypatch):
+    """Record the thread of every synth_shape call."""
+    seen = []
+    render = shapes.synth_shape
+
+    def recorded(*args, **kwargs):
+        seen.append(threading.get_ident())
+        return render(*args, **kwargs)
+
+    monkeypatch.setattr(shapes, "synth_shape", recorded)
+    return seen
+
+
+def test_frames_rendered_side_by_side_equal_the_serial_loop(monkeypatch):
+    x, labels, samples = serial_shape_dataset(30, 0.25, Rng(17, 2), keep_frames=3)
+    assert len(samples) == 12
+    threads = calling_threads(monkeypatch)
+    interval = sys.getswitchinterval()
+    for cpus in (None, {0}, {0, 1, 2}):
+        if cpus is not None:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+        threads.clear()
+        sys.setswitchinterval(1e-5)  # more switches between the frame threads
+        try:
+            ds, kept = synth_shape_dataset(30, 0.25, Rng(17, 2), keep_frames=3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert ds.x.tobytes() == x.tobytes() and ds.x.dtype == x.dtype, cpus
+        assert ds.labels.tobytes() == labels.tobytes() and ds.labels.dtype == labels.dtype, cpus
+        assert [f.pixels.tobytes() for f in kept] == [f.pixels.tobytes() for f in samples], cpus
+        assert len(threads) == 120
+        if cpus is not None:
+            assert len(set(threads)) <= len(cpus), cpus
+
+
+def test_frame_threads_are_capped_at_the_frame_count(monkeypatch):
+    threads = calling_threads(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    before = threading.active_count()
+    ds, _ = synth_shape_dataset(1, 0.25, Rng(4))
+    assert ds.n_samples == 4 and len(set(threads)) <= 4
+    assert threading.active_count() == before
+
+
+def test_first_failing_frame_raises_and_the_rest_are_cancelled(monkeypatch):
+    rng = Rng(23)
+    index = {rng.split(1 + k): k for k in range(400)}
+    rendered = []
+    render = shapes.synth_shape
+
+    def failing(kind, pose, noise_level, frame_rng, frame_shape):
+        k = index[frame_rng]
+        if k in (5, 9):
+            raise ValueError(f"frame {k} failed")
+        rendered.append(k)
+        return render(kind, pose, noise_level, frame_rng, frame_shape)
+
+    monkeypatch.setattr(shapes, "synth_shape", failing)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="^frame 5 failed$"):
+        synth_shape_dataset(100, 0.25, rng)
+    assert threading.active_count() == before
+    # two threads render a few frames past the failure; the rest are cancelled
+    assert set(range(5)) <= set(rendered) and len(rendered) < 100
+
+
+def test_importing_elmkit_loads_no_thread_pool():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(elmkit.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, elmkit; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("frame_shape", [(31, 200), (200, 27)])
+def test_synth_shape_dataset_rejects_a_frame_side_under_32_px(frame_shape):
+    with pytest.raises(ValueError, match="too small for the pose margins"):
+        synth_shape_dataset(1, 0.25, Rng(0), frame_shape=frame_shape)
+    ds, _ = synth_shape_dataset(1, 0.25, Rng(0), frame_shape=(32, 200))
+    assert ds.n_samples == 4
 
 
 @pytest.mark.parametrize(
