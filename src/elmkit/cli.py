@@ -118,6 +118,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    # checked before anything is loaded or written, so a bad option leaves no output
+    if args.threshold is not None and not 0.0 < args.threshold <= 1.0:
+        raise ValueError(f"threshold must be in (0, 1], got {args.threshold}")
+    if args.window < 1:
+        raise ValueError(f"window must be >= 1, got {args.window}")
+    if args.episodes < 1:
+        raise ValueError(f"episodes must be >= 1, got {args.episodes}")
     model = load_model(args.model)
     ds = load_manifest(args.data)
     t0 = time.perf_counter()

@@ -82,13 +82,9 @@ class PipelineConfig:
         if not all(isinstance(d[k], (list, tuple)) for k in ("layer_sizes", "Cs")):
             raise ValueError("config layer_sizes and Cs must be lists")
         try:
-            return cls(
-                layer_sizes=tuple(d["layer_sizes"]),
-                cs=tuple(d["Cs"]),
-                head=d.get("head", "sit2"),
-                head_size=d.get("head_size", 40),
-                seed=d.get("seed", 0),
-            )
+            # only the keys given, so the defaults live in the dataclass alone
+            optional = {k: d[k] for k in ("head", "head_size", "seed") if k in d}
+            return cls(layer_sizes=tuple(d["layer_sizes"]), cs=tuple(d["Cs"]), **optional)
         except TypeError as e:
             raise ValueError(f"malformed config: {e}") from None
 

@@ -139,6 +139,8 @@ def synth_shape_dataset(
         raise ValueError("n_per_class must be >= 1")
     if side < 1:
         raise ValueError(f"side must be >= 1, got {side}")
+    if keep_frames < 0:
+        raise ValueError(f"keep_frames must be >= 0, got {keep_frames}")
     h, w = int(frame_shape[0]), int(frame_shape[1])
     # under 32 px, scale_hi falls below the 8 px scale floor
     if min(h, w) < 32:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NumericalError, Rng, as_matrix, _solve_spd
+from .numerics import NumericalError, Rng, as_matrix, ridge_solve, _solve_spd
 from .type_reduction import It2RuleBase, ekm_reduce, firing_batch, sc_reduce_batch
 
 STAGE_INITIALIZED = "initialized"
@@ -39,10 +39,6 @@ class Sit2Model:
     def n_inputs(self) -> int:
         return self.rules.n_inputs
 
-    @property
-    def n_outputs(self) -> int:
-        return self.consequents.shape[1]
-
 
 def _with_bias(x: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((x.shape[0], 1)), x])
@@ -53,7 +49,6 @@ def _consequent_values(xb: np.ndarray, q_col: np.ndarray, n_rules: int) -> np.nd
     return xb @ q_col.reshape(n_rules, -1).T
 
 
-_BLOCK_ENTRIES = 2_000_000  # cap on materialized hidden-row entries per block
 _TILE_ROWS = 128  # rows per block of a dual Gram, written straight into its buffer
 _TILE_COLS = 512  # columns per in-place K multiply, so its transposed read stays in cache
 
@@ -67,49 +62,39 @@ def _input_gram(xb):
 
 
 def _product_ridge(phi, xb, t, c, buf=None):
-    """Ridge solve for hidden rows h_p = kron(phi_p, xb_p) without forming them.
+    """Ridge solve for hidden rows h_p = kron(phi_p, xb_p).
 
-    Tall systems accumulate the primal Gram over row blocks.  Wide systems
-    exploit h_p . h_q = (phi_p . phi_q)(xb_p . xb_q): the dual Gram is the
-    elementwise product of the two small Grams, written in row blocks into
-    the upper triangle of ``buf`` (from ``_input_gram``, made here when not
-    given) around the K it reads, factored there in place, and the weights
-    fold back for all rules with one GEMM.  K survives for the next solve.
+    Tall systems go through ``ridge_solve`` on the explicit rows (p*m <= p*p
+    floats).  Wide systems exploit h_p . h_q = (phi_p . phi_q)(xb_p . xb_q):
+    the dual Gram is the elementwise product of the two small Grams, written
+    in row blocks into the upper triangle of ``buf`` (from ``_input_gram``,
+    made here when not given) around the K it reads, factored there in
+    place, and the weights fold back one output column at a time.  K
+    survives for the next solve.
     """
     p, m_rules = phi.shape
     k = xb.shape[1]
     m = m_rules * k
     if m <= p:
-        block = max(1, _BLOCK_ENTRIES // m)
-        rhs = np.zeros((m, t.shape[1]))
+        return ridge_solve((phi[:, :, None] * xb[:, None, :]).reshape(p, m), t, c)
 
-        def build(gram):  # also sums rhs, which _solve_spd reads only after a build
-            gram.fill(0.0)
-            rhs.fill(0.0)
-            for s in range(0, p, block):
-                h = (phi[s : s + block, :, None] * xb[s : s + block, None, :]).reshape(-1, m)
-                gram += h.T @ h
-                np.add(rhs, h.T @ t[s : s + block], out=rhs)
+    def build(g):
+        for s in range(0, p, _TILE_ROWS):
+            e = min(s + _TILE_ROWS, p)
+            # right of the diagonal block, K[i, j] is read from g[j, i]
+            np.matmul(phi[s:e], phi[e:].T, out=g[s:e, e:])
+            for u in range(e, p, _TILE_COLS):
+                g[s:e, u : u + _TILE_COLS] *= g[u : u + _TILE_COLS, s:e].T
+            g[s:e, s:e] = (phi[s:e] @ phi[s:e].T) * (xb[s:e] @ xb[s:e].T)
 
-        b = _solve_spd(build, rhs, c)
-    else:
-        def build(g):
-            for s in range(0, p, _TILE_ROWS):
-                e = min(s + _TILE_ROWS, p)
-                # right of the diagonal block, K[i, j] is read from g[j, i]
-                np.matmul(phi[s:e], phi[e:].T, out=g[s:e, e:])
-                for u in range(e, p, _TILE_COLS):
-                    g[s:e, u : u + _TILE_COLS] *= g[u : u + _TILE_COLS, s:e].T
-                g[s:e, s:e] = (phi[s:e] @ phi[s:e].T) * (xb[s:e] @ xb[s:e].T)
-
-        alpha = _solve_spd(build, t, c, out=_input_gram(xb) if buf is None else buf)
-        # b[j*k + a] = sum_p phi[p, j] xb[p, a] alpha[p], one output column at a time
-        b = np.empty((m, alpha.shape[1]))
-        for i in range(alpha.shape[1]):
-            b[:, i] = (xb.T @ (phi * alpha[:, i : i + 1])).T.ravel()
+    alpha = _solve_spd(build, t, c, out=_input_gram(xb) if buf is None else buf)
+    # b[j*k + a] = sum_p phi[p, j] xb[p, a] alpha[p], one output column at a time
+    b = np.empty((m, alpha.shape[1]))
+    for i in range(alpha.shape[1]):
+        b[:, i] = (xb.T @ (phi * alpha[:, i : i + 1])).T.ravel()
     if not np.all(np.isfinite(b)):
         raise NumericalError("consequent solution contains non-finite entries")
-    return np.ascontiguousarray(b)
+    return b
 
 
 def _refinement_weights(lower, upper, z_l, z_r):

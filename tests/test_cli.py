@@ -214,6 +214,29 @@ def test_oracle_rejects_zero_trials(capsys):
     assert "trials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "option, named",
+    [
+        (["--threshold", "1.5"], "threshold must be in (0, 1]"),
+        (["--threshold", "nan"], "threshold must be in (0, 1]"),
+        (["--threshold", "0.8", "--window", "0"], "window must be >= 1"),
+        (["--threshold", "0.8", "--window", "-3"], "window must be >= 1"),
+        (["--threshold", "0.8", "--episodes", "0"], "episodes must be >= 1"),
+        (["--threshold", "0.8", "--episodes", "-1"], "episodes must be >= 1"),
+    ],
+    ids=["threshold-1.5", "threshold-nan", "window-0", "window-minus-3", "episodes-0", "episodes-minus-1"],
+)
+def test_malformed_eval_stream_options_are_usage_errors(blob_manifest, option, named, capsys):
+    tmp, manifest, config = blob_manifest
+    out = str(tmp / "model.bin")
+    assert main(["train", "--config", config, "--data", manifest, "--out", out, "--seed", "5"]) == 0
+    capsys.readouterr()
+    rc = main(["eval", "--model", out, "--data", manifest, "--out", str(tmp / "eval"), *option])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp / "eval").exists()
+
+
 def test_synth_then_train_then_eval(tmp_path):
     data_dir = tmp_path / "shapes"
     rc = main(["synth", "--out", str(data_dir), "--n-per-class", "12",
@@ -266,8 +289,9 @@ def test_segment_cli_rejects_zero_threshold(tmp_path, capsys):
         (["--frame-size", "26"], "too small for the pose margins"),
         (["--frame-size", "27"], "too small for the pose margins"),
         (["--frame-size", "31"], "too small for the pose margins"),
+        (["--samples", "-1"], "keep_frames must be >= 0"),
     ],
-    ids=["side-0", "side-minus-4", "frame-26", "frame-27", "frame-31"],
+    ids=["side-0", "side-minus-4", "frame-26", "frame-27", "frame-31", "samples-minus-1"],
 )
 def test_malformed_synth_options_are_usage_errors(tmp_path, option, named, capsys):
     out = tmp_path / "shapes"

@@ -49,6 +49,10 @@ def test_config_integers_are_not_truncated():
 def test_config_round_trips_through_dict():
     cfg = PipelineConfig((8, 4), (0.1, 10.0, 1e6), head="elm", head_size=16, seed=3)
     assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
+    # a config without head, head_size and seed takes the dataclass defaults
+    bare = PipelineConfig.from_dict({"layer_sizes": [8], "Cs": [0.1, 1e6]})
+    assert bare == PipelineConfig((8,), (0.1, 1e6), head="sit2", head_size=40, seed=0)
+    assert PipelineConfig.from_dict(bare.to_dict()) == bare
 
 
 def test_config_rejects_unknown_keys():

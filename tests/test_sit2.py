@@ -104,9 +104,10 @@ def test_ekm_predictions_are_ekm_reduce_midpoints_bitwise():
     test_x = Rng(10).generator().uniform(0, 1, (25, 2))
     scores = sit2_predict(model, test_x, reducer="ekm")
     lower, upper = firing_batch(model.rules, test_x)
-    w = _with_bias(test_x) @ model.consequents.reshape(model.n_rules, -1, model.n_outputs).transpose(2, 1, 0)
+    n_outputs = model.consequents.shape[1]
+    w = _with_bias(test_x) @ model.consequents.reshape(model.n_rules, -1, n_outputs).transpose(2, 1, 0)
     for p in range(test_x.shape[0]):
-        for i in range(model.n_outputs):
+        for i in range(n_outputs):
             y_l, y_r, _, _ = ekm_reduce(lower[p : p + 1], upper[p : p + 1], w[i, p : p + 1])
             assert scores[p, i].tobytes() == (0.5 * (y_l[0] + y_r[0])).tobytes(), (p, i)
 
@@ -157,18 +158,19 @@ def test_product_ridge_structured_matches_explicit():
         np.testing.assert_allclose(got, expected, rtol=1e-8, atol=1e-10)
 
 
-def test_product_ridge_blocked_tall_matches_explicit():
+def test_product_ridge_tall_is_ridge_solve_on_explicit_rows_bitwise():
+    from elmkit.numerics import ridge_solve
+
     gen = Rng(72).generator()
     p, m_rules, k, outs = 40, 3, 4, 2  # m = 12 <= p takes the primal route
     phi = gen.uniform(0.1, 1.0, (p, m_rules))
     xb = gen.uniform(-1.0, 1.0, (p, k))
     t = gen.uniform(-1.0, 1.0, (p, outs))
     h = (phi[:, :, None] * xb[:, None, :]).reshape(p, m_rules * k)
-    from elmkit.numerics import ridge_solve
-
-    expected = ridge_solve(h, t, 50.0)
-    got = _product_ridge(phi, xb, t, 50.0)
-    np.testing.assert_allclose(got, expected, rtol=1e-8, atol=1e-10)
+    for targets in (t, t[:, :1]):  # the initial pass and one refinement column
+        got = _product_ridge(phi, xb, targets, 50.0)
+        expected = ridge_solve(h, targets, 50.0)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 def test_refinement_does_not_hurt_separable_fit():
