@@ -2,7 +2,6 @@
 
 from .autoencoder import (
     Autoencoder,
-    FeatureStack,
     ae_encode,
     ae_train,
     stack_train,

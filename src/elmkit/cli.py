@@ -50,16 +50,16 @@ def _load_json(path, what):
 
 
 def load_manifest(path) -> LabeledDataset:
-    """Resolve a dataset manifest: {'type': 'idx'|'csv'|'synth', ...}; a malformed one is a ValueError."""
+    """Resolve a dataset manifest: {'type': 'idx'|'csv', ...}; a malformed one is a ValueError."""
     manifest = _load_json(path, "manifest")
     if not isinstance(manifest, dict):
         raise ValueError(f"manifest {path} must be a JSON object, got {type(manifest).__name__}")
     base = os.path.dirname(os.path.abspath(path))
 
-    def field(name, ok, what, default=None):
-        if not ok(manifest.get(name, default)):
+    def field(name, ok, what):
+        if not ok(manifest.get(name)):
             raise ValueError(f"manifest {path} field {name!r} must be {what}, got {manifest.get(name)!r}")
-        return manifest.get(name, default)
+        return manifest[name]
 
     def file_field(name):
         return os.path.join(base, field(name, lambda v: isinstance(v, str), "a file name"))
@@ -74,16 +74,6 @@ def load_manifest(path) -> LabeledDataset:
         return ds
     if kind == "csv":
         return load_csv(file_field("path"))
-    if kind == "synth":
-        size = field("frame_size", lambda v: isinstance(v, list) and [type(n) for n in v] == [int, int],
-                     "two integers", [120, 120])
-        ds, _ = synth_shape_dataset(
-            field("n_per_class", lambda v: type(v) is int, "an integer", 100),
-            float(field("noise", lambda v: type(v) in (int, float), "a number", 0.25)),
-            Rng(field("seed", lambda v: type(v) is int, "an integer", 0)),
-            frame_shape=tuple(size),
-        )
-        return ds
     raise ValueError(f"manifest {path} has unknown type {kind!r}")
 
 

@@ -230,13 +230,11 @@ def segment_object(img: ImageFrame, hue_lo: float, hue_hi: float, threshold: flo
     mask = mask.reshape(maxc.shape)
     if not mask.any():
         raise ValueError("no object in hue band")
-    for size in BLUR_SIZES:  # a blur of a non-empty mask peaks above 0
+    for size in BLUR_SIZES:  # a non-empty mask's blur peaks above 0 and keeps its peak
         blurred = _blur(mask, size)
         mask = blurred >= threshold * blurred.max()
-    found = _largest_component(mask)
-    if found is None:
-        raise ValueError("no object in hue band")
-    return ImageFrame(found[0], "binary"), found[1]
+    component, centroid = _largest_component(mask)
+    return ImageFrame(component, "binary"), centroid
 
 
 def extract_patch(img: ImageFrame, centroid, side: int = 52) -> np.ndarray:

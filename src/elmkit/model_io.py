@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .autoencoder import ACTIVATIONS, Autoencoder, FeatureStack
+from .autoencoder import ACTIVATIONS, Autoencoder
 from .data import write_atomic
 from .elm import ElmModel
 from .pipeline import FeatureScaler, HmlModel, PipelineConfig, TrainMetrics
@@ -24,8 +24,8 @@ from .type_reduction import It2RuleBase
 
 MAGIC = b"ELMKITM\x01"
 FORMAT_VERSION = 1
-# per-layer header fields, in Autoencoder constructor order after beta
-LAYER_FIELDS = ("mode", "c", "reconstruction_error", "beta_orthogonality_gap")
+# per-layer header fields besides mode and activation, in Autoencoder constructor order after beta
+LAYER_FIELDS = ("c", "reconstruction_error", "beta_orthogonality_gap")
 # the arrays each head type writes and reads, in its constructor's order,
 # besides the scaler's and one per layer; the last one has a column per class
 HEAD_ARRAYS = {
@@ -36,11 +36,14 @@ HEAD_ARRAYS = {
 
 
 def _restore_layer(i, meta, arrays, path) -> Autoencoder:
-    if meta["mode"] not in ACTIVATIONS:
-        raise ValueError(f"{path}: layer {i} has unknown mode {meta['mode']!r}")
-    if meta["activation"] != ACTIVATIONS[meta["mode"]]:
-        raise ValueError(f"{path}: layer {i} activation {meta['activation']!r} does not match its {meta['mode']} mode")
-    return Autoencoder(arrays[f"stack.{i}.beta"], *(meta[k] for k in LAYER_FIELDS))
+    ae = Autoencoder(arrays[f"stack.{i}.beta"], *(meta[k] for k in LAYER_FIELDS))
+    if ae.beta.ndim != 2:
+        raise ValueError(f"{path}: layer {i} weights have shape {ae.beta.shape}, not two dimensions")
+    if meta["mode"] != ae.mode:
+        raise ValueError(f"{path}: layer {i} has mode {meta['mode']!r}, but its {ae.beta.shape} weights are {ae.mode}")
+    if meta["activation"] != ACTIVATIONS[ae.mode]:
+        raise ValueError(f"{path}: layer {i} activation {meta['activation']!r} does not match its {ae.mode} mode")
+    return ae
 
 
 def _array_bytes(a: np.ndarray) -> bytes:
@@ -83,9 +86,10 @@ def save_model(model: HmlModel, path) -> None:
     arrays["scaler.offset"] = model.scaler.offset
     arrays["scaler.span"] = model.scaler.span
     layer_meta = []
-    for i, ae in enumerate(model.stack.layers):
+    for i, ae in enumerate(model.stack):
         arrays[f"stack.{i}.beta"] = ae.beta
-        layer_meta.append({"activation": ACTIVATIONS[ae.mode], **{k: getattr(ae, k) for k in LAYER_FIELDS}})
+        fields = {k: getattr(ae, k) for k in LAYER_FIELDS}
+        layer_meta.append({"activation": ACTIVATIONS[ae.mode], "mode": ae.mode, **fields})
     names = sorted(arrays)
     sections = []
     offset = 0
@@ -166,7 +170,7 @@ def load_model(path) -> HmlModel:
         if unread:
             raise ValueError(f"{path}: arrays {unread} are not read by a {head_type} model")
         scaler = FeatureScaler(arrays["scaler.offset"], arrays["scaler.span"])
-        layers = [_restore_layer(i, meta, arrays, path) for i, meta in enumerate(header["stack_layers"])]
+        layers = tuple(_restore_layer(i, meta, arrays, path) for i, meta in enumerate(header["stack_layers"]))
         head = _restore_head(header["head"], arrays, path)
         config = PipelineConfig.from_dict(header["config"])
         widths = tuple(ae.beta.shape[0] for ae in layers)
@@ -177,6 +181,6 @@ def load_model(path) -> HmlModel:
         if type(n_classes) is not int or outputs.ndim != 2 or outputs.shape[1] != n_classes:
             raise ValueError(f"{path}: header n_classes {n_classes!r} does not match the {head_type} head's outputs")
         metrics = TrainMetrics(0.0, 0.0, header["train_accuracy"])
-        return HmlModel(scaler, FeatureStack(tuple(layers)), head, config, n_classes, metrics)
+        return HmlModel(scaler, layers, head, config, n_classes, metrics)
     except (KeyError, TypeError) as e:
         raise ValueError(f"{path}: malformed model header ({type(e).__name__}: {e})") from None

@@ -10,6 +10,7 @@ They live here so their numerical behaviour is pinned down in one place.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -51,6 +52,13 @@ class Rng:
 
     def split(self, child: int) -> "Rng":
         return Rng(self.seed, _mix64((self.stream * 0x9E3779B97F4A7C15 + child + 1) & _MASK64))
+
+
+def as_integer(value, what: str) -> int:
+    """``value`` as an int; a bool or a non-integral number is a ValueError, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def as_matrix(a, name: str = "matrix", min_rows: int = 1) -> np.ndarray:
@@ -143,19 +151,14 @@ def pseudo_inverse(h: np.ndarray) -> np.ndarray:
 
 
 def orthonormal_random(rows: int, cols: int, rng: Rng) -> np.ndarray:
-    """Column-orthonormal matrix obtained by QR of standard-normal draws."""
+    """Orthonormal columns, or rows when wide, from the QR of standard-normal draws."""
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be >= 1")
-    if cols > rows:
-        raise ValueError(
-            "cols > rows: a wide matrix cannot have orthonormal columns; "
-            "draw the transpose and flip it instead"
-        )
-    g = rng.generator().standard_normal((rows, cols))
+    g = rng.generator().standard_normal((max(rows, cols), min(rows, cols)))
     q, r = np.linalg.qr(g)
     # canonical sign so the map from seed to matrix is unambiguous
     q = q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
-    return q
+    return q.T if cols > rows else q
 
 
 def unit_row(n: int, rng: Rng) -> np.ndarray:

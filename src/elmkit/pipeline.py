@@ -16,19 +16,12 @@ from typing import Union
 
 import numpy as np
 
-from .autoencoder import FeatureStack, stack_train, stack_transform
+from .autoencoder import Autoencoder, stack_train, stack_transform
 from .elm import ElmModel, elm_predict, elm_train, predict_labels
-from .numerics import Rng, as_matrix, ridge_solve
+from .numerics import Rng, as_integer, as_matrix, ridge_solve
 from .sit2 import Sit2Model, sit2_predict, sit2_train
 
 HEADS = ("sit2", "ridge", "elm")
-
-
-def _integer(value, what: str) -> int:
-    """``value`` as an int; a bool or a non-integral number is a ValueError, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"config {what} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -40,12 +33,12 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_sizes", tuple(_integer(m, "layer width") for m in self.layer_sizes))
+        object.__setattr__(self, "layer_sizes", tuple(as_integer(m, "config layer width") for m in self.layer_sizes))
         if any(isinstance(c, bool) or not isinstance(c, numbers.Real) for c in self.cs):
             raise ValueError(f"config ridge constants must be numbers, got {list(self.cs)!r}")
         object.__setattr__(self, "cs", tuple(float(c) for c in self.cs))
-        object.__setattr__(self, "head_size", _integer(self.head_size, "head_size"))
-        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        object.__setattr__(self, "head_size", as_integer(self.head_size, "config head_size"))
+        object.__setattr__(self, "seed", as_integer(self.seed, "config seed"))
         if any(m < 1 for m in self.layer_sizes):
             raise ValueError("layer widths must be >= 1")
         if len(self.cs) != len(self.layer_sizes) + 1:
@@ -125,7 +118,7 @@ Head = Union[Sit2Model, ElmModel, np.ndarray]
 @dataclass(frozen=True)
 class HmlModel:
     scaler: FeatureScaler
-    stack: FeatureStack
+    stack: tuple[Autoencoder, ...]
     head: Head
     config: PipelineConfig
     n_classes: int

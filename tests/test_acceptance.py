@@ -100,10 +100,7 @@ def test_autoencoder_orthogonality_and_equal_mode_reconstruction():
         rng = Rng(seed)
         ae = ae_train(x, m, 1e6, rng)
         # the random projection is not stored; re-derive it from the same stream
-        if m <= n_in:
-            a = orthonormal_random(n_in, m, rng.split(0))
-        else:
-            a = orthonormal_random(m, n_in, rng.split(0)).T
+        a = orthonormal_random(n_in, m, rng.split(0))
         gram = a.T @ a if m <= n_in else a @ a.T
         worst_gap = max(worst_gap, float(np.abs(gram - np.eye(min(m, n_in))).max()))
         if m == n_in:
@@ -313,7 +310,7 @@ from elmkit.pipeline import PipelineConfig, hml_predict, hml_train
 data, config, out = sys.argv[1:]
 d = np.load(data)
 model = hml_train(d["x_train"], d["y_train"], PipelineConfig.from_dict(json.loads(config)))
-layer = model.stack.layers[-1]
+layer = model.stack[-1]
 np.savez(out, mode=layer.mode, beta=layer.beta, consequents=model.head.consequents,
          labels=predict_labels(hml_predict(model, d["x_test"])))
 """

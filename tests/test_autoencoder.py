@@ -10,7 +10,8 @@ from elmkit.autoencoder import (
     stack_train,
     stack_transform,
 )
-from elmkit.numerics import Rng, orthonormal_random
+from elmkit.elm import sigmoid
+from elmkit.numerics import Rng, orthonormal_random, ridge_solve, unit_row
 
 
 @pytest.fixture
@@ -46,6 +47,25 @@ def test_sparse_shape_contract(batch):
     assert ae_encode(ae, batch).shape == (10, 7)
 
 
+def test_sparse_beta_is_the_ridge_fit_through_the_transposed_tall_draw(batch):
+    rng, m, n_in = Rng(21), 7, batch.shape[1]
+    ae = ae_train(batch, m, 100.0, rng)
+    h = sigmoid(batch @ orthonormal_random(m, n_in, rng.split(0)).T + unit_row(m, rng.split(1)))
+    assert ae.beta.tobytes() == ridge_solve(h, batch, 100.0).tobytes()
+
+
+@pytest.mark.parametrize(
+    "n_hidden, c, named",
+    [(2.7, 10.0, "n_hidden"), (True, 10.0, "n_hidden"), (np.float64(3.0), 10.0, "n_hidden"),
+     (3, "1e3", "c must be"), (3, True, "c must be"), (3, None, "c must be")],
+)
+def test_widths_and_cs_are_refused_not_coerced(batch, n_hidden, c, named):
+    with pytest.raises(ValueError, match=named):
+        ae_train(batch, n_hidden, c, Rng(0))
+    with pytest.raises(ValueError, match=named):
+        stack_train(batch, [n_hidden], [c], Rng(0))
+
+
 def test_same_seed_identical_beta(batch):
     a = ae_train(batch, 3, 50.0, Rng(9))
     b = ae_train(batch, 3, 50.0, Rng(9))
@@ -60,13 +80,14 @@ def test_equal_layer_encode_is_pure_rotation(batch):
 
 
 def test_identity_beta_encodes_identically(batch):
-    ae = Autoencoder(np.eye(4), "equal", 1.0, 0.0, 0.0)
+    ae = Autoencoder(np.eye(4), 1.0, 0.0, 0.0)
+    assert ae.mode == "equal"
     np.testing.assert_allclose(ae_encode(ae, batch), batch, rtol=0, atol=0)
 
 
 def test_stack_accepts_empty_layer_list(batch):
     stack, _ = stack_train(batch, [], [], Rng(0))
-    assert stack.layers == ()
+    assert stack == ()
     assert stack_transform(stack, batch).tobytes() == batch.tobytes()
 
 
@@ -85,12 +106,12 @@ def test_stack_rejects_mismatched_cs(batch):
 def test_single_equal_layer_round_trip(batch):
     stack, _ = stack_train(batch, [4], [1e6], Rng(4))
     z = stack_transform(stack, batch)
-    np.testing.assert_allclose(z @ stack.layers[0].beta, batch, atol=1e-6)
+    np.testing.assert_allclose(z @ stack[0].beta, batch, atol=1e-6)
 
 
 def test_stack_chains_dimensions(batch):
     stack, _ = stack_train(batch, [3, 5, 2], [10.0, 10.0, 10.0], Rng(5))
-    assert [ae.beta.shape for ae in stack.layers] == [(3, 4), (5, 3), (2, 5)]
+    assert [ae.beta.shape for ae in stack] == [(3, 4), (5, 3), (2, 5)]
     assert stack_transform(stack, batch).shape == (10, 2)
 
 
@@ -117,7 +138,7 @@ def test_transform_is_stateless_over_row_blocks(batch):
 def test_every_layer_projection_is_orthonormal():
     # re-draw the projections the way ae_train does and check the contract
     for rows, cols in [(4, 4), (4, 2), (9, 4)]:
-        a = orthonormal_random(max(rows, cols), min(rows, cols), Rng(11).split(0))
+        a = orthonormal_random(rows, cols, Rng(11).split(0))
         assert np.abs(a.T @ a - np.eye(min(rows, cols))).max() < 1e-10
 
 

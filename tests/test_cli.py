@@ -355,9 +355,10 @@ def test_malformed_config_values_are_usage_errors(blob_manifest, capsys):
 @pytest.mark.parametrize(
     "manifest, named",
     [
-        ([{"type": "synth"}], "JSON object"),
-        ({"type": "synth", "n_per_class": None}, "'n_per_class'"),
-        ({"type": "synth", "frame_size": 5}, "'frame_size'"),
+        ([{"type": "csv"}], "JSON object"),
+        # synthetic shapes come from `elmkit synth`, which writes an idx manifest
+        ({"type": "synth", "n_per_class": 12, "noise": 0.25, "seed": 4}, "unknown type 'synth'"),
+        ({"type": "csv"}, "'path'"),
         ({"type": "idx"}, "'images'"),
         ({"type": "idx", "images": "x.idx", "labels": "y.idx", "class_names": [1, 2, 3]}, "'class_names'"),
     ],

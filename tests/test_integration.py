@@ -46,7 +46,7 @@ def test_stream_decisions_prefer_the_true_class(shapes_benchmark):
 
 def test_stack_metadata_records_reconstruction_quality(shapes_benchmark):
     model = shapes_benchmark["model"]
-    first, second = model.stack.layers
+    first, second = model.stack
     assert first.mode == "compressed" and second.mode == "equal"
     # the equal-width layer recovers its rotation exactly on full-rank data
     assert second.reconstruction_error < 1e-6

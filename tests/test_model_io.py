@@ -166,6 +166,12 @@ CORRUPTIONS = {
     "unread-array": _add_unread_array,
     # the saved_model stack is an equal layer, then a compressed one
     "unknown-layer-mode": _set_layer(1, "mode", "bogus"),
+    "compressed-layer-called-equal": _edit_header(
+        lambda header: header["stack_layers"][1].update(mode="equal", activation="linear")
+    ),
+    "one-dimensional-layer-weights": _edit_sections(
+        lambda sections: next(s for s in sections if s["name"] == "stack.1.beta").__setitem__("shape", [12])
+    ),
     "compressed-layer-tanh": _set_layer(1, "activation", "tanh"),
     "compressed-layer-linear": _set_layer(1, "activation", "linear"),
     "equal-layer-sigmoid": _set_layer(0, "activation", "sigmoid"),
@@ -269,7 +275,9 @@ def test_truncated_file_is_a_value_error(saved_model):
         ("header-not-utf8", "header is not valid JSON"),
         ("unread-array", r"arrays \['head.extra'\] are not read by a sit2 model"),
         ("boolean-dimension", "malformed shape"),
-        ("unknown-layer-mode", "layer 1 has unknown mode 'bogus'"),
+        ("unknown-layer-mode", r"layer 1 has mode 'bogus', but its \(3, 4\) weights are compressed"),
+        ("compressed-layer-called-equal", r"layer 1 has mode 'equal', but its \(3, 4\) weights are compressed"),
+        ("one-dimensional-layer-weights", r"layer 1 weights have shape \(12,\), not two dimensions"),
         ("compressed-layer-tanh", "layer 1 activation 'tanh' does not match its compressed mode"),
         ("equal-layer-sigmoid", "layer 0 activation 'sigmoid' does not match its equal mode"),
         ("unknown-head-stage", "unknown sit2 head stage 'bogus'"),

@@ -246,9 +246,10 @@ def test_orthonormal_rectangular_is_not_row_orthonormal():
     assert np.abs(a @ a.T - np.eye(5)).max() > 0.1
 
 
-def test_orthonormal_rejects_wide():
-    with pytest.raises(ValueError, match="transpose"):
-        orthonormal_random(2, 5, Rng(0))
+def test_orthonormal_wide_is_the_tall_draw_transposed():
+    a = orthonormal_random(2, 5, Rng(0))
+    assert a.tobytes() == orthonormal_random(5, 2, Rng(0)).T.tobytes()
+    assert np.abs(a @ a.T - np.eye(2)).max() < 1e-10
 
 
 def test_same_seed_bit_identical():

@@ -149,7 +149,7 @@ def test_stack_free_elm_is_the_hand_built_baseline():
     model = hml_train(x, labels, cfg)
     scaler = FeatureScaler.fit(x)
     hand = elm_train(scaler.transform(x), one_hot(labels, 3), 25, 1e4, Rng(3).split(1))
-    assert model.stack.layers == () and model.n_features == x.shape[1]
+    assert model.stack == () and model.n_features == x.shape[1]
     for name in ("input_weights", "biases", "output_weights"):
         assert getattr(model.head, name).tobytes() == getattr(hand, name).tobytes()
     assert hml_predict(model, x).tobytes() == elm_predict(hand, scaler.transform(x)).tobytes()
