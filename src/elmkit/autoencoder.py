@@ -51,8 +51,8 @@ def ae_train(x, n_hidden: int, c: float, rng: Rng) -> Autoencoder:
     """
     x = as_matrix(x, "x")
     n_hidden = as_integer(n_hidden, "n_hidden")
-    if isinstance(c, bool) or not isinstance(c, numbers.Real):
-        raise ValueError(f"c must be a real number, got {c!r}")
+    if isinstance(c, bool) or not isinstance(c, numbers.Real) or not c > 0:
+        raise ValueError(f"c must be a positive real number (math.inf allowed), got {c!r}")
     if n_hidden < 1:
         raise ValueError("n_hidden must be >= 1")
     n_in = x.shape[1]

@@ -35,21 +35,6 @@ HEAD_ARRAYS = {
 }
 
 
-def _restore_layer(i, meta, arrays, path) -> Autoencoder:
-    ae = Autoencoder(arrays[f"stack.{i}.beta"], *(meta[k] for k in LAYER_FIELDS))
-    if ae.beta.ndim != 2:
-        raise ValueError(f"{path}: layer {i} weights have shape {ae.beta.shape}, not two dimensions")
-    if meta["mode"] != ae.mode:
-        raise ValueError(f"{path}: layer {i} has mode {meta['mode']!r}, but its {ae.beta.shape} weights are {ae.mode}")
-    if meta["activation"] != ACTIVATIONS[ae.mode]:
-        raise ValueError(f"{path}: layer {i} activation {meta['activation']!r} does not match its {ae.mode} mode")
-    return ae
-
-
-def _array_bytes(a: np.ndarray) -> bytes:
-    return np.ascontiguousarray(a, dtype="<f8").tobytes()
-
-
 def _collect_head(head):
     """A head's header metadata, and its arrays under the names ``HEAD_ARRAYS`` lists."""
     if isinstance(head, Sit2Model):
@@ -66,22 +51,8 @@ def _collect_head(head):
     return meta, dict(zip(HEAD_ARRAYS[meta["type"]], values))
 
 
-def _restore_head(meta, arrays, path):
-    values = [arrays[name] for name in HEAD_ARRAYS[meta["type"]]]
-    if meta["type"] == "sit2":
-        *rule_arrays, consequents = values
-        if meta["stage"] not in (STAGE_INITIALIZED, STAGE_REFINED):
-            raise ValueError(f"{path}: unknown sit2 head stage {meta['stage']!r}")
-        return Sit2Model(It2RuleBase(*rule_arrays), consequents, meta["stage"])
-    if meta["type"] == "elm":
-        if meta["activation"] != "sigmoid":
-            raise ValueError(f"{path}: elm head activation {meta['activation']!r} is not sigmoid")
-        return ElmModel(*values)
-    return values[0]
-
-
-def save_model(model: HmlModel, path) -> None:
-    """Serialize atomically, one array at a time."""
+def _contents(model: HmlModel) -> tuple[bytes, list]:
+    """The header bytes ``save_model`` writes for ``model``, and the arrays that follow them, in order."""
     head_meta, arrays = _collect_head(model.head)
     arrays["scaler.offset"] = model.scaler.offset
     arrays["scaler.span"] = model.scaler.span
@@ -110,77 +81,105 @@ def save_model(model: HmlModel, path) -> None:
         "stack_layers": layer_meta,
         "arrays": sections,
     }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    payload = (_array_bytes(np.asarray(arrays[name])) for name in names)
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode(), [arrays[name] for name in names]
+
+
+def save_model(model: HmlModel, path) -> None:
+    """Serialize atomically, one array at a time."""
+    blob, arrays = _contents(model)
+    payload = (np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
     write_atomic(path, itertools.chain((MAGIC, len(blob).to_bytes(4, "little"), blob), payload))
 
 
-def _read_arrays(sections, payload: memoryview, path) -> dict:
-    """Arrays of a section table that tiles the payload in order from offset 0."""
-    if not isinstance(sections, list):
-        raise ValueError(f"{path}: header has no array table")
+def _read_arrays(sections, payload: memoryview) -> dict:
+    """Finite arrays of a section table, read one after another from the payload's start."""
     arrays = {}
     end = 0
     for section in sections:
-        if not isinstance(section, dict):
-            raise ValueError(f"{path}: array section {section!r} is not a JSON object")
-        name, shape = section.get("name"), section.get("shape")
+        name, shape = section["name"], section["shape"]
         # type(d) is int: JSON true/false would pass isinstance(d, int)
         if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
-            raise ValueError(f"{path}: array {name!r} has a malformed shape {shape!r}")
+            raise ValueError(f"array {name!r} has a malformed shape {shape!r}")
         if not isinstance(name, str) or name in arrays:
-            raise ValueError(f"{path}: array name {name!r} is missing or repeated")
+            raise ValueError(f"array name {name!r} is missing or repeated")
         nbytes = 8 * math.prod(shape)
-        if section.get("offset") != end or section.get("nbytes") != nbytes:
-            raise ValueError(f"{path}: array {name!r} does not follow the previous section")
         raw = payload[end : end + nbytes]
         if len(raw) != nbytes:
-            raise ValueError(f"{path}: truncated array payload for {name}")
+            raise ValueError(f"truncated array payload for {name}")
         arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        if not np.all(np.isfinite(arrays[name])):
+            raise ValueError(f"array {name} holds NaN or Inf")
         end += nbytes
     if end != len(payload):
-        raise ValueError(f"{path}: {len(payload) - end} bytes follow the last array")
+        raise ValueError(f"{len(payload) - end} bytes follow the last array")
     return arrays
 
 
+def _leaves(value, at="") -> dict:
+    """The JSON text of each leaf of a parsed header, by path, in the header's order."""
+    if isinstance(value, dict) and value:
+        items = [(f"{at}.{k}" if at else k, v) for k, v in value.items()]
+    elif isinstance(value, list) and value:
+        items = [(f"{at}[{i}]", v) for i, v in enumerate(value)]
+    else:
+        return {at: json.dumps(value)}
+    return {path: text for where, v in items for path, text in _leaves(v, where).items()}
+
+
 def load_model(path) -> HmlModel:
+    """The model a file holds, if its arrays are finite and its header is the one ``save_model`` writes for it."""
     with open(path, "rb") as f:
         data = f.read()
-    if data[:8] != MAGIC:
-        raise ValueError(f"{path}: not a model file (bad magic)")
-    header_end = 12 + int.from_bytes(data[8:12], "little")
-    if len(data) < header_end:
-        raise ValueError(f"{path}: truncated header")
     try:
-        header = json.loads(data[12:header_end].decode())
-    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError both are
-        raise ValueError(f"{path}: header is not valid JSON: {e}") from None
-    if not isinstance(header, dict):
-        raise ValueError(f"{path}: header is not a JSON object")
-    if header.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported model format version {header.get('format_version')}")
-    arrays = _read_arrays(header.get("arrays"), memoryview(data)[header_end:], path)
-    try:
+        if data[:8] != MAGIC:
+            raise ValueError("not a model file (bad magic)")
+        header_end = 12 + int.from_bytes(data[8:12], "little")
+        blob = data[12:header_end]
+        try:
+            header = json.loads(blob.decode())
+        except ValueError as e:  # JSONDecodeError and UnicodeDecodeError both are
+            raise ValueError(f"header is not valid JSON: {e}") from None
+        if header["format_version"] != FORMAT_VERSION:
+            raise ValueError(f"unsupported model format version {header['format_version']}")
+        arrays = _read_arrays(header["arrays"], memoryview(data)[header_end:])
         head_type = header["head"]["type"]
         if head_type not in HEAD_ARRAYS:
-            raise ValueError(f"{path}: unknown head type {head_type!r}")
-        expected = {"scaler.offset", "scaler.span", *HEAD_ARRAYS[head_type]}
-        expected.update(f"stack.{i}.beta" for i in range(len(header["stack_layers"])))
-        unread = sorted(set(arrays) - expected)
-        if unread:
-            raise ValueError(f"{path}: arrays {unread} are not read by a {head_type} model")
+            raise ValueError(f"unknown head type {head_type!r}")
+        # the scaler's span divides; FeatureScaler.fit writes only positive spans
+        if not np.all(arrays["scaler.span"] > 0):
+            raise ValueError("array scaler.span has entries that are not positive")
         scaler = FeatureScaler(arrays["scaler.offset"], arrays["scaler.span"])
-        layers = tuple(_restore_layer(i, meta, arrays, path) for i, meta in enumerate(header["stack_layers"]))
-        head = _restore_head(header["head"], arrays, path)
+        layers = []
+        for i, meta in enumerate(header["stack_layers"]):
+            layers.append(Autoencoder(arrays[f"stack.{i}.beta"], *(float(meta[k]) for k in LAYER_FIELDS)))
+            if layers[-1].beta.ndim != 2:
+                raise ValueError(f"layer {i} weights have shape {layers[-1].beta.shape}, not two dimensions")
+        values = [arrays[name] for name in HEAD_ARRAYS[head_type]]
+        if head_type == "sit2":
+            *rule_arrays, consequents = values
+            if header["head"]["stage"] not in (STAGE_INITIALIZED, STAGE_REFINED):
+                raise ValueError(f"unknown sit2 head stage {header['head']['stage']!r}")
+            head = Sit2Model(It2RuleBase(*rule_arrays), consequents, header["head"]["stage"])
+        else:
+            head = ElmModel(*values) if head_type == "elm" else values[0]
+        # the header's config renders itself, so only this check ties it to the arrays
         config = PipelineConfig.from_dict(header["config"])
         widths = tuple(ae.beta.shape[0] for ae in layers)
         if config.head != head_type or config.layer_sizes != widths:
-            raise ValueError(f"{path}: header config (head {config.head!r}, layer_sizes {list(config.layer_sizes)}) "
+            raise ValueError(f"header config (head {config.head!r}, layer_sizes {list(config.layer_sizes)}) "
                              f"does not match the stored {head_type} head and layer widths {list(widths)}")
-        n_classes, outputs = header["n_classes"], arrays[HEAD_ARRAYS[head_type][-1]]
-        if type(n_classes) is not int or outputs.ndim != 2 or outputs.shape[1] != n_classes:
-            raise ValueError(f"{path}: header n_classes {n_classes!r} does not match the {head_type} head's outputs")
-        metrics = TrainMetrics(0.0, 0.0, header["train_accuracy"])
-        return HmlModel(scaler, layers, head, config, n_classes, metrics)
-    except (KeyError, TypeError) as e:
+        n_classes = arrays[HEAD_ARRAYS[head_type][-1]].shape[1]  # an IndexError if that array is not 2-D
+        metrics = TrainMetrics(0.0, 0.0, float(header["train_accuracy"]))
+        model = HmlModel(scaler, tuple(layers), head, config, n_classes, metrics)
+        written = _contents(model)[0]
+        if written != blob:
+            was, wants = _leaves(header), _leaves(json.loads(written))
+            where = next((p for p in {**wants, **was} if was.get(p) != wants.get(p)), None)
+            raise ValueError(f"header field {where} is {was.get(where, 'absent')}, but save_model writes "
+                             f"{wants.get(where, 'absent')} for the model this file holds" if where else
+                             "header is not spaced, ordered or formatted as save_model writes it")
+        return model
+    except (KeyError, TypeError, IndexError, OverflowError) as e:
         raise ValueError(f"{path}: malformed model header ({type(e).__name__}: {e})") from None
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

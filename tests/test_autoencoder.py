@@ -66,6 +66,14 @@ def test_widths_and_cs_are_refused_not_coerced(batch, n_hidden, c, named):
         stack_train(batch, [n_hidden], [c], Rng(0))
 
 
+@pytest.mark.parametrize("n_hidden", [4, 3], ids=["equal", "compressed"])
+@pytest.mark.parametrize("c", [float("nan"), 0.0, -5.0])
+def test_a_ridge_constant_that_is_not_positive_is_refused_for_every_width(batch, n_hidden, c):
+    with pytest.raises(ValueError, match="c must be a positive real number"):
+        ae_train(batch, n_hidden, c, Rng(0))
+    assert ae_train(batch, n_hidden, float("inf"), Rng(0)).c == float("inf")
+
+
 def test_same_seed_identical_beta(batch):
     a = ae_train(batch, 3, 50.0, Rng(9))
     b = ae_train(batch, 3, 50.0, Rng(9))

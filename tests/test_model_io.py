@@ -1,4 +1,10 @@
+import copy
+import functools
 import json
+import math
+import operator
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -230,7 +236,8 @@ def test_elm_head_with_another_activation_is_refused(tmp_path, activation, capsy
     assert header["head"] == {"type": "elm", "activation": "sigmoid"}
     header["head"]["activation"] = activation
     path.write_bytes(join_file(header, payload))
-    with pytest.raises(ValueError, match=f"elm head activation '{activation}' is not sigmoid") as info:
+    message = f'header field head.activation is "{activation}", but save_model writes "sigmoid"'
+    with pytest.raises(ValueError, match=message) as info:
         load_model(path)
     assert str(info.value).startswith(f"{path}: ")
     assert main(eval_args(path)) == 2
@@ -273,14 +280,17 @@ def test_truncated_file_is_a_value_error(saved_model):
     [
         ("header-not-json", "header is not valid JSON"),
         ("header-not-utf8", "header is not valid JSON"),
-        ("unread-array", r"arrays \['head.extra'\] are not read by a sit2 model"),
+        ("unread-array", r'header field arrays\[8\]\.name is "head\.extra", but save_model writes absent'),
         ("boolean-dimension", "malformed shape"),
-        ("unknown-layer-mode", r"layer 1 has mode 'bogus', but its \(3, 4\) weights are compressed"),
-        ("compressed-layer-called-equal", r"layer 1 has mode 'equal', but its \(3, 4\) weights are compressed"),
+        ("unknown-layer-mode", r'header field stack_layers\[1\]\.mode is "bogus", but save_model writes "compressed"'),
+        # the layer's fields are compared in key order, so its activation differs first
+        ("compressed-layer-called-equal",
+         r'header field stack_layers\[1\]\.activation is "linear", but save_model writes "sigmoid"'),
         ("one-dimensional-layer-weights", r"layer 1 weights have shape \(12,\), not two dimensions"),
-        ("compressed-layer-tanh", "layer 1 activation 'tanh' does not match its compressed mode"),
-        ("equal-layer-sigmoid", "layer 0 activation 'sigmoid' does not match its equal mode"),
+        ("compressed-layer-tanh", r'header field stack_layers\[1\]\.activation is "tanh", but save_model writes "sigmoid"'),
+        ("equal-layer-sigmoid", r'header field stack_layers\[0\]\.activation is "sigmoid", but save_model writes "linear"'),
         ("unknown-head-stage", "unknown sit2 head stage 'bogus'"),
+        ("n-classes-not-head-width", "header field n_classes is 7, but save_model writes 3"),
     ],
 )
 def test_header_faults_name_the_file_and_the_fault(saved_model, name, message):
@@ -288,6 +298,93 @@ def test_header_faults_name_the_file_and_the_fault(saved_model, name, message):
     with pytest.raises(ValueError, match=message) as info:
         load_model(saved_model)
     assert str(info.value).startswith(f"{saved_model}: ")
+
+
+# the values the header mutation test sets each leaf to; DELETE removes the leaf instead
+LEAF_VALUES = [None, -1, 0, 1.5, 1e308, "x", [], {}, True, math.nan, math.inf]
+DELETE = object()
+
+MUTATED_MODELS = {
+    # 4 inputs, then a compressed (3), a sparse (5) and an equal (5) layer
+    "sit2": PipelineConfig((3, 5, 5), (10.0, 10.0, 10.0, 1e4), head="sit2", head_size=4, seed=0),
+    "elm": PipelineConfig((3,), (10.0, 1e4), head="elm", head_size=5, seed=0),
+    "ridge": PipelineConfig((5,), (10.0, 1e4), head="ridge", seed=0),
+}
+
+
+def leaf_paths(value, path=()):
+    """Key and index paths of every leaf of a parsed header; an empty container is a leaf."""
+    if isinstance(value, dict) and value:
+        return [p for k, v in value.items() for p in leaf_paths(v, path + (k,))]
+    if isinstance(value, list) and value:
+        return [p for i, v in enumerate(value) for p in leaf_paths(v, path + (i,))]
+    return [path]
+
+
+def with_leaf(header, path, value):
+    """A copy of ``header`` with the leaf at ``path`` set to ``value``, or deleted for DELETE."""
+    header = copy.deepcopy(header)
+    *parents, last = path
+    node = functools.reduce(operator.getitem, parents, header)
+    if value is DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return header
+
+
+def assert_refused(path, message, capsys):
+    """``load_model`` raises a ValueError matching ``message`` and naming the file, and ``eval`` exits 2."""
+    with pytest.raises(ValueError, match=message) as info:
+        load_model(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert main(eval_args(path)) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("head", sorted(MUTATED_MODELS))
+def test_each_header_leaf_mutation_is_refused_or_scores_as_the_intact_file(tmp_path, head, capsys):
+    path = save_with_manifest(tmp_path, MUTATED_MODELS[head])
+    x, _ = blob_data(10)
+    intact = hml_predict(load_model(path), x).tobytes()
+    header, payload = split_file(path.read_bytes())
+    for leaf in leaf_paths(header):
+        written = functools.reduce(operator.getitem, leaf, header)
+        for value in LEAF_VALUES + [DELETE]:
+            path.write_bytes(join_file(with_leaf(header, leaf, value), payload))
+            try:
+                model = load_model(path)
+            except ValueError:
+                assert_refused(path, None, capsys)
+                continue
+            # only a value of the written JSON type may load, and then it must not change a score
+            assert type(value) is type(written), (leaf, value)
+            assert hml_predict(model, x).tobytes() == intact, (leaf, value)
+
+
+def with_first_entry(raw, name, value):
+    """Model file bytes ``raw`` with the first entry of array ``name`` set to ``value``."""
+    header, payload = split_file(raw)
+    start = next(s["offset"] for s in header["arrays"] if s["name"] == name)
+    return join_file(header, payload[:start] + struct.pack("<d", value) + payload[start + 8 :])
+
+
+@pytest.mark.parametrize("head", sorted(MUTATED_MODELS))
+def test_non_finite_arrays_and_non_positive_spans_are_refused(tmp_path, head, capsys):
+    path = save_with_manifest(tmp_path, MUTATED_MODELS[head])
+    raw = path.read_bytes()
+    for name in (s["name"] for s in split_file(raw)[0]["arrays"]):
+        for value in (math.nan, math.inf, -math.inf):
+            path.write_bytes(with_first_entry(raw, name, value))
+            assert_refused(path, re.escape(f"array {name} holds NaN or Inf"), capsys)
+    for value in (0.0, -1.0):
+        path.write_bytes(with_first_entry(raw, "scaler.span", value))
+        assert_refused(path, "array scaler.span has entries that are not positive", capsys)
+
+
+def test_a_constructor_refusal_at_load_names_the_file(saved_model, capsys):
+    saved_model.write_bytes(with_first_entry(saved_model.read_bytes(), "head.sigma_lower", 1e6))
+    assert_refused(saved_model, "sigma_lower must not exceed sigma_upper", capsys)
 
 
 @pytest.fixture(scope="module")
