@@ -25,17 +25,19 @@ class ElmModel:
     biases: np.ndarray  # n_hidden
     output_weights: np.ndarray  # n_hidden x n_classes
 
-    @property
-    def n_features(self) -> int:
-        return self.input_weights.shape[0]
+    def __post_init__(self):
+        w, b, out = self.input_weights, self.biases, self.output_weights
+        if w.ndim != 2 or b.shape != w.shape[1:] or out.ndim != 2 or out.shape[0] != w.shape[1]:
+            raise ValueError(f"elm weights {w.shape}, biases {b.shape} and output weights {out.shape} do not chain")
 
 
-def elm_train(x, t, n_hidden: int, c: float, rng: Rng) -> ElmModel:
+def elm_train(x, t, n_hidden: int, c: float, rng: Rng) -> tuple[ElmModel, np.ndarray]:
     """Train on one-hot targets t (0/1, one 1 per row) with a sigmoid hidden layer.
 
-    Hidden weights are uniform in [-1, 1] and biases uniform in [0, 1];
-    orthogonal projections are reserved for the autoencoders.  Inputs are
-    expected to be standardized to [0, 1] per feature by the caller.
+    Returns the model and its scores on x.  Hidden weights are uniform in
+    [-1, 1] and biases uniform in [0, 1]; orthogonal projections are
+    reserved for the autoencoders.  Inputs are expected to be standardized
+    to [0, 1] per feature by the caller.
     """
     x = as_matrix(x, "x")
     t = as_matrix(t, "t")
@@ -50,15 +52,15 @@ def elm_train(x, t, n_hidden: int, c: float, rng: Rng) -> ElmModel:
     b = gen.uniform(0.0, 1.0, size=n_hidden)
     h = sigmoid(x @ a + b)
     beta = ridge_solve(h, t, c)
-    return ElmModel(a, b, beta)
+    return ElmModel(a, b, beta), h @ beta
 
 
 def elm_predict(model: ElmModel, x) -> np.ndarray:
     """Score matrix for x; the predicted label of a row is its argmax column."""
     x = as_matrix(x, "x", min_rows=0)
-    if x.shape[1] != model.n_features:
+    if x.shape[1] != model.input_weights.shape[0]:
         raise ValueError(
-            f"feature mismatch: model expects {model.n_features}, got {x.shape[1]}"
+            f"feature mismatch: model expects {model.input_weights.shape[0]}, got {x.shape[1]}"
         )
     h = sigmoid(x @ model.input_weights + model.biases)
     return h @ model.output_weights

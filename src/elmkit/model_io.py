@@ -17,43 +17,19 @@ import numpy as np
 
 from .autoencoder import ACTIVATIONS, Autoencoder
 from .data import write_atomic
-from .elm import ElmModel
-from .pipeline import FeatureScaler, HmlModel, PipelineConfig, TrainMetrics
-from .sit2 import STAGE_INITIALIZED, STAGE_REFINED, Sit2Model
-from .type_reduction import It2RuleBase
+from .pipeline import HEADS, FeatureScaler, HmlModel, PipelineConfig, TrainMetrics
 
 MAGIC = b"ELMKITM\x01"
 FORMAT_VERSION = 1
 # per-layer header fields besides mode and activation, in Autoencoder constructor order after beta
 LAYER_FIELDS = ("c", "reconstruction_error", "beta_orthogonality_gap")
-# the arrays each head type writes and reads, in its constructor's order,
-# besides the scaler's and one per layer; the last one has a column per class
-HEAD_ARRAYS = {
-    "sit2": ("head.centers", "head.sigma_lower", "head.sigma_upper", "head.consequents"),
-    "elm": ("head.input_weights", "head.biases", "head.output_weights"),
-    "ridge": ("head.weights",),
-}
-
-
-def _collect_head(head):
-    """A head's header metadata, and its arrays under the names ``HEAD_ARRAYS`` lists."""
-    if isinstance(head, Sit2Model):
-        meta = {"type": "sit2", "stage": head.stage}
-        values = (head.rules.centers, head.rules.sigma_lower, head.rules.sigma_upper, head.consequents)
-    elif isinstance(head, ElmModel):
-        meta = {"type": "elm", "activation": "sigmoid"}
-        values = (head.input_weights, head.biases, head.output_weights)
-    elif isinstance(head, np.ndarray):
-        meta = {"type": "ridge"}
-        values = (head,)
-    else:
-        raise TypeError(f"cannot serialize head of type {type(head).__name__}")
-    return meta, dict(zip(HEAD_ARRAYS[meta["type"]], values))
 
 
 def _contents(model: HmlModel) -> tuple[bytes, list]:
     """The header bytes ``save_model`` writes for ``model``, and the arrays that follow them, in order."""
-    head_meta, arrays = _collect_head(model.head)
+    kind = HEADS[model.config.head]
+    head_meta, head_arrays = kind.store(model.head)
+    arrays = dict(zip(kind.arrays, head_arrays))
     arrays["scaler.offset"] = model.scaler.offset
     arrays["scaler.span"] = model.scaler.span
     layer_meta = []
@@ -77,7 +53,7 @@ def _contents(model: HmlModel) -> tuple[bytes, list]:
         "config": model.config.to_dict(),
         "n_classes": model.n_classes,
         "train_accuracy": model.metrics.train_accuracy,
-        "head": head_meta,
+        "head": {"type": model.config.head, **head_meta},
         "stack_layers": layer_meta,
         "arrays": sections,
     }
@@ -126,6 +102,13 @@ def _leaves(value, at="") -> dict:
     return {path: text for where, v in items for path, text in _leaves(v, where).items()}
 
 
+def _number(value, at: str) -> float:
+    """``value`` as a float, or a refusal naming header field ``at`` if the JSON value is not a number."""
+    if not isinstance(value, (int, float)):
+        raise ValueError(f"header field {at} is {json.dumps(value)}, but save_model writes a number")
+    return float(value)
+
+
 def load_model(path) -> HmlModel:
     """The model a file holds, if its arrays are finite and its header is the one ``save_model`` writes for it."""
     with open(path, "rb") as f:
@@ -142,34 +125,23 @@ def load_model(path) -> HmlModel:
         if header["format_version"] != FORMAT_VERSION:
             raise ValueError(f"unsupported model format version {header['format_version']}")
         arrays = _read_arrays(header["arrays"], memoryview(data)[header_end:])
-        head_type = header["head"]["type"]
-        if head_type not in HEAD_ARRAYS:
-            raise ValueError(f"unknown head type {head_type!r}")
         # the scaler's span divides; FeatureScaler.fit writes only positive spans
         if not np.all(arrays["scaler.span"] > 0):
             raise ValueError("array scaler.span has entries that are not positive")
         scaler = FeatureScaler(arrays["scaler.offset"], arrays["scaler.span"])
         layers = []
         for i, meta in enumerate(header["stack_layers"]):
-            layers.append(Autoencoder(arrays[f"stack.{i}.beta"], *(float(meta[k]) for k in LAYER_FIELDS)))
+            fields = (_number(meta[k], f"stack_layers[{i}].{k}") for k in LAYER_FIELDS)
+            layers.append(Autoencoder(arrays[f"stack.{i}.beta"], *fields))
             if layers[-1].beta.ndim != 2:
                 raise ValueError(f"layer {i} weights have shape {layers[-1].beta.shape}, not two dimensions")
-        values = [arrays[name] for name in HEAD_ARRAYS[head_type]]
-        if head_type == "sit2":
-            *rule_arrays, consequents = values
-            if header["head"]["stage"] not in (STAGE_INITIALIZED, STAGE_REFINED):
-                raise ValueError(f"unknown sit2 head stage {header['head']['stage']!r}")
-            head = Sit2Model(It2RuleBase(*rule_arrays), consequents, header["head"]["stage"])
-        else:
-            head = ElmModel(*values) if head_type == "elm" else values[0]
-        # the header's config renders itself, so only this check ties it to the arrays
-        config = PipelineConfig.from_dict(header["config"])
-        widths = tuple(ae.beta.shape[0] for ae in layers)
-        if config.head != head_type or config.layer_sizes != widths:
-            raise ValueError(f"header config (head {config.head!r}, layer_sizes {list(config.layer_sizes)}) "
-                             f"does not match the stored {head_type} head and layer widths {list(widths)}")
-        n_classes = arrays[HEAD_ARRAYS[head_type][-1]].shape[1]  # an IndexError if that array is not 2-D
-        metrics = TrainMetrics(0.0, 0.0, float(header["train_accuracy"]))
+        # the stored head type and layer widths make the config, so the comparison ties the header's to them
+        widths = [ae.beta.shape[0] for ae in layers]
+        config = PipelineConfig.from_dict({**header["config"], "head": header["head"]["type"], "layer_sizes": widths})
+        kind = HEADS[config.head]
+        head = kind.rebuild(header["head"], *(arrays[name] for name in kind.arrays))
+        n_classes = arrays[kind.arrays[-1]].shape[1]  # an IndexError if that array is not 2-D
+        metrics = TrainMetrics(0.0, 0.0, _number(header["train_accuracy"], "train_accuracy"))
         model = HmlModel(scaler, tuple(layers), head, config, n_classes, metrics)
         written = _contents(model)[0]
         if written != blob:

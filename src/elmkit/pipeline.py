@@ -12,7 +12,7 @@ from __future__ import annotations
 import numbers
 import time
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -20,8 +20,7 @@ from .autoencoder import Autoencoder, stack_train, stack_transform
 from .elm import ElmModel, elm_predict, elm_train, predict_labels
 from .numerics import Rng, as_integer, as_matrix, ridge_solve
 from .sit2 import Sit2Model, sit2_predict, sit2_train
-
-HEADS = ("sit2", "ridge", "elm")
+from .type_reduction import It2RuleBase
 
 
 @dataclass(frozen=True)
@@ -48,8 +47,9 @@ class PipelineConfig:
             )
         if any(not c > 0 for c in self.cs):
             raise ValueError("every ridge constant must be positive")
-        if self.head not in HEADS:
-            raise ValueError(f"unknown head {self.head!r}; expected one of {HEADS}")
+        # a head name that is not a string, such as a JSON list, would be a TypeError in the lookup
+        if not isinstance(self.head, str) or self.head not in HEADS:
+            raise ValueError(f"unknown head {self.head!r}; expected one of {tuple(HEADS)}")
         if self.head != "ridge" and self.head_size < 1:
             raise ValueError("head_size must be >= 1")
 
@@ -112,14 +112,11 @@ class TrainMetrics:
         return self.stack_seconds + self.head_seconds
 
 
-Head = Union[Sit2Model, ElmModel, np.ndarray]
-
-
 @dataclass(frozen=True)
 class HmlModel:
     scaler: FeatureScaler
     stack: tuple[Autoencoder, ...]
-    head: Head
+    head: object  # what HEADS[config.head].fit returns
     config: PipelineConfig
     n_classes: int
     metrics: TrainMetrics
@@ -129,23 +126,48 @@ class HmlModel:
         return self.scaler.offset.size
 
 
-def _head_train(feats, t, config: PipelineConfig, rng: Rng) -> tuple[Head, np.ndarray]:
-    c = config.cs[-1]
-    if config.head == "sit2":
-        return sit2_train(feats, t, config.head_size, rng, c=c)
-    if config.head == "elm":
-        head = elm_train(feats, t, config.head_size, c, rng)
-    else:
-        head = ridge_solve(np.hstack([feats, np.ones((feats.shape[0], 1))]), t, c)
-    return head, _head_predict(head, feats)  # the head and its scores on the training rows
+class HeadKind(NamedTuple):
+    """How one head is fit, scored, stored in a model file and rebuilt from it."""
+
+    fit: Callable  # (features, one-hot t, head_size, c, rng) -> (head, its scores on the features)
+    predict: Callable  # (head, features) -> scores
+    arrays: tuple[str, ...]  # the array names a model file holds for it; the last has a column per class
+    store: Callable  # head -> (header metadata besides "type", its arrays in that order)
+    rebuild: Callable  # (header metadata, *arrays) -> head
 
 
-def _head_predict(head: Head, feats: np.ndarray) -> np.ndarray:
-    if isinstance(head, Sit2Model):
-        return sit2_predict(head, feats)
-    if isinstance(head, ElmModel):
-        return elm_predict(head, feats)
-    return np.hstack([feats, np.ones((feats.shape[0], 1))]) @ head
+def _ridge_train(feats, t, head_size, c, rng):
+    """Ridge weights over the features and a bias column, and their scores on ``feats``."""
+    xb = np.hstack([feats, np.ones((feats.shape[0], 1))])
+    weights = ridge_solve(xb, t, c)
+    return weights, xb @ weights
+
+
+# lambdas look each function up when called: perfbench's tracer swaps module
+# attributes, and a table holding the functions themselves would hide every head call from it
+HEADS = {
+    "sit2": HeadKind(
+        lambda feats, t, size, c, rng: sit2_train(feats, t, size, rng, c=c),
+        lambda head, feats: sit2_predict(head, feats),
+        ("head.centers", "head.sigma_lower", "head.sigma_upper", "head.consequents"),
+        lambda h: ({"stage": h.stage}, (h.rules.centers, h.rules.sigma_lower, h.rules.sigma_upper, h.consequents)),
+        lambda meta, centers, lower, upper, q: Sit2Model(It2RuleBase(centers, lower, upper), q, meta["stage"]),
+    ),
+    "ridge": HeadKind(
+        _ridge_train,
+        lambda weights, feats: np.hstack([feats, np.ones((feats.shape[0], 1))]) @ weights,
+        ("head.weights",),
+        lambda weights: ({}, (weights,)),
+        lambda meta, weights: weights,
+    ),
+    "elm": HeadKind(
+        lambda feats, t, size, c, rng: elm_train(feats, t, size, c, rng),
+        lambda head, feats: elm_predict(head, feats),
+        ("head.input_weights", "head.biases", "head.output_weights"),
+        lambda head: ({"activation": "sigmoid"}, (head.input_weights, head.biases, head.output_weights)),
+        lambda meta, *arrays: ElmModel(*arrays),
+    ),
+}
 
 
 def one_hot(labels, n_classes: int) -> np.ndarray:
@@ -169,7 +191,8 @@ def hml_train(x, labels, config: PipelineConfig) -> HmlModel:
     t0 = time.perf_counter()
     stack, feats = stack_train(xs, config.layer_sizes, config.cs[:-1], Rng(config.seed).split(0))
     t1 = time.perf_counter()
-    head, scores = _head_train(feats, one_hot(labels, n_classes), config, Rng(config.seed).split(1))
+    fit = HEADS[config.head].fit
+    head, scores = fit(feats, one_hot(labels, n_classes), config.head_size, config.cs[-1], Rng(config.seed).split(1))
     t2 = time.perf_counter()
     accuracy = float((predict_labels(scores) == labels).mean())
     metrics = TrainMetrics(t1 - t0, t2 - t1, accuracy)
@@ -184,4 +207,4 @@ def hml_predict(model: HmlModel, x) -> np.ndarray:
             f"feature mismatch: model expects {model.n_features}, got {x.shape[1]}"
         )
     feats = stack_transform(model.stack, model.scaler.transform(x))
-    return _head_predict(model.head, feats)
+    return HEADS[model.config.head].predict(model.head, feats)

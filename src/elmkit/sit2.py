@@ -31,13 +31,13 @@ class Sit2Model:
     consequents: np.ndarray  # ((n_inputs + 1) * n_rules) x n_outputs
     stage: str
 
+    def __post_init__(self):
+        if self.stage not in (STAGE_INITIALIZED, STAGE_REFINED):
+            raise ValueError(f"unknown sit2 head stage {self.stage!r}")
+
     @property
     def n_rules(self) -> int:
         return self.rules.n_rules
-
-    @property
-    def n_inputs(self) -> int:
-        return self.rules.n_inputs
 
 
 def _with_bias(x: np.ndarray) -> np.ndarray:
@@ -180,8 +180,8 @@ def sit2_predict(model: Sit2Model, x, reducer: str = "sc") -> np.ndarray:
     the same interval, so swapping them is a consistency check, not a knob.
     """
     x = as_matrix(x, "x", min_rows=0)
-    if x.shape[1] != model.n_inputs:
-        raise ValueError(f"feature mismatch: model expects {model.n_inputs}, got {x.shape[1]}")
+    if x.shape[1] != model.rules.n_inputs:
+        raise ValueError(f"feature mismatch: model expects {model.rules.n_inputs}, got {x.shape[1]}")
     if reducer not in ("sc", "ekm"):
         raise ValueError(f"unknown reducer {reducer!r}")
     lower, upper = firing_batch(model.rules, x)

@@ -26,7 +26,7 @@ def shapes_benchmark():
     hml_acc = float((predict_labels(test_scores) == test.labels).mean())
 
     scaler = FeatureScaler.fit(train.x)
-    baseline = elm_train(
+    baseline, _ = elm_train(
         scaler.transform(train.x), one_hot(train.labels, ds.n_classes), 1600, 1e6, Rng(2)
     )
     elm_acc = float(

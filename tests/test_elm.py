@@ -12,7 +12,7 @@ XOR_T = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
 
 def test_xor_separated_with_fixed_seed():
     # fixed seed must pass; re-seeding until success is not allowed
-    model = elm_train(XOR_X, XOR_T, n_hidden=20, c=1e6, rng=Rng(0))
+    model, _ = elm_train(XOR_X, XOR_T, n_hidden=20, c=1e6, rng=Rng(0))
     pred = predict_labels(elm_predict(model, XOR_X))
     assert np.array_equal(pred, np.argmax(XOR_T, axis=1))
 
@@ -20,33 +20,33 @@ def test_xor_separated_with_fixed_seed():
 def test_single_point_interpolation():
     x = np.array([[0.3, 0.7, 0.1]])
     t = np.array([[0.0, 1.0]])
-    model = elm_train(x, t, n_hidden=3, c=math.inf, rng=Rng(4))
+    model, _ = elm_train(x, t, n_hidden=3, c=math.inf, rng=Rng(4))
     np.testing.assert_allclose(elm_predict(model, x), t, atol=1e-6)
 
 
 def test_determinism_same_seed_same_model():
-    a = elm_train(XOR_X, XOR_T, 10, 100.0, Rng(77))
-    b = elm_train(XOR_X, XOR_T, 10, 100.0, Rng(77))
+    a, _ = elm_train(XOR_X, XOR_T, 10, 100.0, Rng(77))
+    b, _ = elm_train(XOR_X, XOR_T, 10, 100.0, Rng(77))
     assert a.input_weights.tobytes() == b.input_weights.tobytes()
     assert a.biases.tobytes() == b.biases.tobytes()
     assert a.output_weights.tobytes() == b.output_weights.tobytes()
 
 
 def test_different_seeds_differ():
-    a = elm_train(XOR_X, XOR_T, 10, 100.0, Rng(1))
-    b = elm_train(XOR_X, XOR_T, 10, 100.0, Rng(2))
+    a, _ = elm_train(XOR_X, XOR_T, 10, 100.0, Rng(1))
+    b, _ = elm_train(XOR_X, XOR_T, 10, 100.0, Rng(2))
     assert a.input_weights.tobytes() != b.input_weights.tobytes()
 
 
 def test_zero_row_scores_equal_bias_response():
-    model = elm_train(XOR_X, XOR_T, 8, 10.0, Rng(3))
+    model, _ = elm_train(XOR_X, XOR_T, 8, 10.0, Rng(3))
     scores = elm_predict(model, np.zeros((1, 2)))
     expected = sigmoid(model.biases) @ model.output_weights
     np.testing.assert_allclose(scores[0], expected, atol=1e-12)
 
 
 def test_argmax_invariant_under_positive_rescale():
-    model = elm_train(XOR_X, XOR_T, 12, 1e4, Rng(8))
+    model, _ = elm_train(XOR_X, XOR_T, 12, 1e4, Rng(8))
     scores = elm_predict(model, XOR_X)
     assert np.array_equal(predict_labels(scores), predict_labels(scores * 7.5))
 
@@ -56,7 +56,7 @@ def test_interpolation_capacity_at_full_rank():
     x = gen.uniform(0, 1, (6, 3))
     labels = np.array([0, 1, 2, 0, 1, 2])
     t = np.eye(3)[labels]
-    model = elm_train(x, t, n_hidden=8, c=math.inf, rng=Rng(5))
+    model, _ = elm_train(x, t, n_hidden=8, c=math.inf, rng=Rng(5))
     np.testing.assert_allclose(elm_predict(model, x), t, atol=1e-6)
 
 
@@ -71,16 +71,30 @@ def test_rejects_nonpositive_hidden_count():
 
 
 def test_predict_rejects_feature_mismatch():
-    model = elm_train(XOR_X, XOR_T, 5, 1.0, Rng(0))
+    model, _ = elm_train(XOR_X, XOR_T, 5, 1.0, Rng(0))
     with pytest.raises(ValueError, match="feature mismatch"):
         elm_predict(model, np.zeros((2, 3)))
 
 
 def test_predict_empty_batch():
-    model = elm_train(XOR_X, XOR_T, 5, 1.0, Rng(0))
+    model, _ = elm_train(XOR_X, XOR_T, 5, 1.0, Rng(0))
     assert elm_predict(model, np.zeros((0, 2))).shape == (0, 2)
 
 
 def test_ties_break_to_lowest_index():
     scores = np.array([[0.5, 0.5, 0.1]])
     assert predict_labels(scores)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [
+        pytest.param(((2,), (1,), (1, 2)), id="input-weights-not-a-matrix"),
+        pytest.param(((2, 3), (2,), (3, 2)), id="one-bias-short"),
+        pytest.param(((2, 3), (3,), (2, 2)), id="output-rows-not-hidden-count"),
+        pytest.param(((2, 3), (3,), (3,)), id="output-weights-not-a-matrix"),
+    ],
+)
+def test_model_refuses_arrays_that_do_not_chain(shapes):
+    with pytest.raises(ValueError, match="do not chain"):
+        ElmModel(*(np.zeros(shape) for shape in shapes))

@@ -17,12 +17,12 @@ def test_encoded_features_match_or_beat_raw_pixels_at_equal_budget(shapes_benchm
     t = one_hot(train.labels, 4)
     budget = 400
 
-    raw = elm_train(xs, t, budget, 1e6, Rng(5))
+    raw, _ = elm_train(xs, t, budget, 1e6, Rng(5))
     raw_acc = (predict_labels(elm_predict(raw, ts)) == test.labels).mean()
 
     stack, _ = stack_train(xs, (256, 256), (1e3, 1e7), Rng(5).split(0))
     enc_train, enc_test = stack_transform(stack, xs), stack_transform(stack, ts)
-    enc = elm_train(enc_train, t, budget, 1e6, Rng(5))
+    enc, _ = elm_train(enc_train, t, budget, 1e6, Rng(5))
     enc_acc = (predict_labels(elm_predict(enc, enc_test)) == test.labels).mean()
 
     print(f"equal-budget elm[{budget}]: raw pixels {raw_acc:.4f}, encoded {enc_acc:.4f}")

@@ -3,8 +3,10 @@ import functools
 import json
 import math
 import operator
+import pathlib
 import re
 import struct
+import tempfile
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 from elmkit.cli import main
 from elmkit.model_io import MAGIC, load_model, save_model
 from elmkit.numerics import Rng
-from elmkit.pipeline import PipelineConfig, hml_predict, hml_train
+from elmkit.pipeline import HEADS, PipelineConfig, hml_predict, hml_train
 
 
 def blob_data(n_per_class=25, seed=900):
@@ -145,6 +147,17 @@ def _set_layer(i, key, value):
     return _edit_header(lambda header: header["stack_layers"][i].__setitem__(key, value))
 
 
+def _elm_vector_input_weights(raw):
+    """Bytes of a one-node elm model whose input weights are stored as a vector: the same payload, not a matrix."""
+    with tempfile.TemporaryDirectory() as d:
+        path = pathlib.Path(d) / "model.bin"
+        save_model(hml_train(*blob_data(10), PipelineConfig((3,), (10.0, 1e4), head="elm", head_size=1)), path)
+        raw = path.read_bytes()
+    return _edit_sections(
+        lambda sections: next(s for s in sections if s["name"] == "head.input_weights").__setitem__("shape", [3])
+    )(raw)
+
+
 def _bad_header(blob: bytes):
     """Corruption that replaces the whole file with a header of raw bytes ``blob``."""
     return lambda raw: MAGIC + len(blob).to_bytes(4, "little") + blob
@@ -181,6 +194,7 @@ CORRUPTIONS = {
     "compressed-layer-tanh": _set_layer(1, "activation", "tanh"),
     "compressed-layer-linear": _set_layer(1, "activation", "linear"),
     "equal-layer-sigmoid": _set_layer(0, "activation", "sigmoid"),
+    "elm-input-weights-not-a-matrix": _elm_vector_input_weights,
     "unknown-head-stage": _edit_header(lambda header: header["head"].__setitem__("stage", "bogus")),
     # the saved_model head scores 3 classes
     "n-classes-not-head-width": _edit_header(lambda header: header.__setitem__("n_classes", 7)),
@@ -245,19 +259,23 @@ def test_elm_head_with_another_activation_is_refused(tmp_path, activation, capsy
 
 
 @pytest.mark.parametrize(
-    "config_edit",
+    "config_edit,message",
     [
-        pytest.param({"head": "sit2", "head_size": 7}, id="head-type"),
-        pytest.param({"layer_sizes": [99]}, id="layer-width"),
-        pytest.param({"layer_sizes": [99, 99], "Cs": [10.0, 10.0, 1e4]}, id="layer-count"),
+        pytest.param({"head": "sit2", "head_size": 7},
+                     'header field config.head is "sit2", but save_model writes "ridge"', id="head-type"),
+        pytest.param({"layer_sizes": [99]},
+                     r"header field config.layer_sizes\[0\] is 99, but save_model writes 3", id="layer-width"),
+        # the stored widths replace the header's, and one layer takes two ridge constants
+        pytest.param({"layer_sizes": [99, 99], "Cs": [10.0, 10.0, 1e4]},
+                     r"need 2 ridge constants \(one per layer plus the head\), got 3", id="layer-count"),
     ],
 )
-def test_header_config_that_disagrees_with_the_stored_model_is_refused(tmp_path, config_edit, capsys):
+def test_header_config_that_disagrees_with_the_stored_model_is_refused(tmp_path, config_edit, message, capsys):
     path = save_with_manifest(tmp_path, PipelineConfig((3,), (10.0, 1e4), head="ridge", seed=0))
     header, payload = split_file(path.read_bytes())
     header["config"].update(config_edit)
     path.write_bytes(join_file(header, payload))
-    with pytest.raises(ValueError, match="does not match the stored ridge head and layer widths \\[3\\]") as info:
+    with pytest.raises(ValueError, match=message) as info:
         load_model(path)
     assert str(info.value).startswith(f"{path}: ")
     assert main(eval_args(path)) == 2
@@ -290,6 +308,7 @@ def test_truncated_file_is_a_value_error(saved_model):
         ("compressed-layer-tanh", r'header field stack_layers\[1\]\.activation is "tanh", but save_model writes "sigmoid"'),
         ("equal-layer-sigmoid", r'header field stack_layers\[0\]\.activation is "sigmoid", but save_model writes "linear"'),
         ("unknown-head-stage", "unknown sit2 head stage 'bogus'"),
+        ("elm-input-weights-not-a-matrix", r"elm weights \(3,\), biases \(1,\) and output weights \(1, 3\) do not chain"),
         ("n-classes-not-head-width", "header field n_classes is 7, but save_model writes 3"),
     ],
 )
@@ -310,6 +329,13 @@ MUTATED_MODELS = {
     "elm": PipelineConfig((3,), (10.0, 1e4), head="elm", head_size=5, seed=0),
     "ridge": PipelineConfig((5,), (10.0, 1e4), head="ridge", seed=0),
 }
+# the header floats the loader reads as numbers: a refused mutation of one names the field and its value
+FLOAT_FIELDS = ("c", "reconstruction_error", "beta_orthogonality_gap", "train_accuracy")
+
+
+def test_mutated_models_cover_every_head():
+    # so a new head gets the header-mutation and non-finite-array tests below
+    assert set(MUTATED_MODELS) == set(HEADS)
 
 
 def leaf_paths(value, path=()):
@@ -319,6 +345,11 @@ def leaf_paths(value, path=()):
     if isinstance(value, list) and value:
         return [p for i, v in enumerate(value) for p in leaf_paths(v, path + (i,))]
     return [path]
+
+
+def field_name(path):
+    """A leaf path as the loader names it, e.g. ``stack_layers[1].mode``."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
 
 
 def with_leaf(header, path, value):
@@ -355,7 +386,9 @@ def test_each_header_leaf_mutation_is_refused_or_scores_as_the_intact_file(tmp_p
             try:
                 model = load_model(path)
             except ValueError:
-                assert_refused(path, None, capsys)
+                named = leaf[-1] in FLOAT_FIELDS and value is not DELETE
+                message = f"header field {field_name(leaf)} is {json.dumps(value)}" if named else None
+                assert_refused(path, message and re.escape(message), capsys)
                 continue
             # only a value of the written JSON type may load, and then it must not change a score
             assert type(value) is type(written), (leaf, value)

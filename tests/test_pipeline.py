@@ -5,6 +5,7 @@ import pytest
 from elmkit.elm import elm_predict, elm_train, predict_labels
 from elmkit.numerics import Rng, ridge_solve
 from elmkit.pipeline import (
+    HEADS,
     FeatureScaler,
     HmlModel,
     PipelineConfig,
@@ -28,8 +29,9 @@ def test_config_validation():
         PipelineConfig((4,), (1.0,))
     with pytest.raises(ValueError, match="positive"):
         PipelineConfig((4,), (1.0, 0.0))
-    with pytest.raises(ValueError, match="unknown head"):
-        PipelineConfig((4,), (1.0, 1.0), head="cnn")
+    for head in ("cnn", ["sit2"]):
+        with pytest.raises(ValueError, match="unknown head"):
+            PipelineConfig((4,), (1.0, 1.0), head=head)
 
 
 def test_config_integers_are_not_truncated():
@@ -134,13 +136,20 @@ def test_predict_empty_batch():
 
 def test_predict_composition_matches_head_on_features():
     from elmkit.autoencoder import stack_transform
-    from elmkit.pipeline import _head_predict
 
     x, labels = blob_data(10)
     cfg = PipelineConfig((4,), (10.0, 1e4), head="ridge", seed=4)
     model = hml_train(x, labels, cfg)
     feats = stack_transform(model.stack, model.scaler.transform(x))
-    np.testing.assert_array_equal(hml_predict(model, x), _head_predict(model.head, feats))
+    np.testing.assert_array_equal(hml_predict(model, x), HEADS["ridge"].predict(model.head, feats))
+
+
+@pytest.mark.parametrize("name", sorted(HEADS))
+def test_each_head_fit_returns_its_predictions_on_the_training_rows(name):
+    x, labels = blob_data(10)
+    feats = FeatureScaler.fit(x).transform(x)
+    head, scores = HEADS[name].fit(feats, one_hot(labels, 3), 4, 1e4, Rng(2))
+    assert scores.tobytes() == HEADS[name].predict(head, feats).tobytes()
 
 
 def test_stack_free_elm_is_the_hand_built_baseline():
@@ -148,7 +157,7 @@ def test_stack_free_elm_is_the_hand_built_baseline():
     cfg = PipelineConfig((), (1e4,), head="elm", head_size=25, seed=3)
     model = hml_train(x, labels, cfg)
     scaler = FeatureScaler.fit(x)
-    hand = elm_train(scaler.transform(x), one_hot(labels, 3), 25, 1e4, Rng(3).split(1))
+    hand, _ = elm_train(scaler.transform(x), one_hot(labels, 3), 25, 1e4, Rng(3).split(1))
     assert model.stack == () and model.n_features == x.shape[1]
     for name in ("input_weights", "biases", "output_weights"):
         assert getattr(model.head, name).tobytes() == getattr(hand, name).tobytes()

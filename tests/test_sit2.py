@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from elmkit.elm import predict_labels
-from elmkit import sit2
+from elmkit import pipeline, sit2
 from elmkit.numerics import Rng, _solve_spd
 from elmkit.pipeline import PipelineConfig, hml_train
 from elmkit.sit2 import (
@@ -256,7 +256,8 @@ def test_sit2_train_scores_are_its_predictions(n_per_class, n_rules, refine):
 def test_benchmark_tracer_binds_sit2_train_by_name(monkeypatch):
     # perfbench/spans.py binds each sit2_train call's arguments by name,
     # defaults applied, and passes them to head_counts; it sees a reducer
-    # only where sit2 looks the reducer up at call time
+    # only where sit2 looks the reducer up at call time, and a head call only
+    # where pipeline.HEADS looks the head's function up at call time
     spec = importlib.util.spec_from_file_location(
         "perfbench_spans", pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     )
@@ -270,11 +271,17 @@ def test_benchmark_tracer_binds_sit2_train_by_name(monkeypatch):
         feats = model.scaler.transform(x)
         sit2.sit2_predict(model.head, feats, reducer="sc")
         sit2.sit2_predict(model.head, feats, reducer="ekm")
+        pipeline.hml_predict(model, x)
     # 3 rules on 2 inputs plus bias: a primal Gram of order 9, one initial and two class solves
     expected = dict(zip(spans.HEAD_COUNTS, (9, 3, 3 * 9**3 / 3.0, 8 * 9**2)))
     assert tracer.heads == [(0, expected)]
     # every SC sweep is seen: two refinements and two score columns in training, two
-    # score columns in the "sc" predict, none in the "ekm" one; one firing per call
+    # score columns in the "sc" predict and in hml_predict, none in the "ekm" one;
+    # one firing per call
     names = [span.name for span in tracer.spans]
-    assert names.count("type_reduction.sc_reduce_batch") == 6
-    assert names.count("type_reduction.firing_batch") == 3
+    assert names.count("type_reduction.sc_reduce_batch") == 8
+    assert names.count("type_reduction.firing_batch") == 4
+    # hml_predict scores through a sit2_predict span of its own
+    predicts = [span for span in tracer.spans if span.name == "sit2.sit2_predict"]
+    assert len(predicts) == 3
+    assert tracer.spans[predicts[-1].parent].name == "pipeline.hml_predict"
