@@ -18,9 +18,6 @@ import numpy as np
 from .elm import sigmoid
 from .numerics import Rng, as_integer, as_matrix, orthonormal_random, ridge_solve, unit_row
 
-# the activation each layer mode encodes with: only equal width skips the sigmoid
-ACTIVATIONS = {"compressed": "sigmoid", "equal": "linear", "sparse": "sigmoid"}
-
 
 @dataclass(frozen=True)
 class Autoencoder:
@@ -77,7 +74,7 @@ def ae_encode(ae: Autoencoder, x) -> np.ndarray:
     if x.shape[1] != ae.n_inputs:
         raise ValueError(f"feature mismatch: layer expects {ae.n_inputs}, got {x.shape[1]}")
     z = x @ ae.beta.T
-    return sigmoid(z) if ACTIVATIONS[ae.mode] == "sigmoid" else z
+    return z if ae.mode == "equal" else sigmoid(z)
 
 
 def stack_train(x, layer_sizes, cs, rng: Rng) -> tuple[tuple[Autoencoder, ...], np.ndarray]:

@@ -131,7 +131,7 @@ def cmd_eval(args) -> int:
     active = None
     if args.threshold is not None:
         episodes = simulate_streams(
-            scores, ds.labels, args.threshold, args.window, args.episodes, Rng(args.seed or 0)
+            scores, ds.labels, args.threshold, args.window, args.episodes, Rng(args.seed)
         )
         decided = [(cls, d) for cls, d in episodes if d.decision is not None]
         correct = [1 for cls, d in decided if d.decision == cls]
@@ -174,16 +174,17 @@ def cmd_bench(args) -> int:
         if not isinstance(user, dict):
             raise ValueError(f"config must be a JSON object, got {type(user).__name__}")
         cfg.update(user)
-    seed = args.seed or 0
+    if args.seed is not None:
+        cfg["seed"] = args.seed
     elm_hidden = cfg.pop("elm_hidden")
-    base = PipelineConfig.from_dict({**cfg, "seed": seed})
-    elm = {"layer_sizes": [], "Cs": [base.cs[-1]], "head": "elm", "head_size": elm_hidden, "seed": seed}
+    base = PipelineConfig.from_dict(cfg)
+    elm = {"layer_sizes": [], "Cs": [base.cs[-1]], "head": "elm", "head_size": elm_hidden, "seed": base.seed}
     pipelines = (
         ("elm", PipelineConfig.from_dict(elm)),
         ("ml-elm", replace(base, head="ridge")),
         ("hml-elm", replace(base, head="sit2")),
     )
-    train, test = split_train_test(ds, args.test_fraction, Rng(seed).split(777))
+    train, test = split_train_test(ds, args.test_fraction, Rng(base.seed).split(777))
     rows = []
     for name, pipe_cfg in pipelines:
         model = hml_train(train.x, train.labels, pipe_cfg)
@@ -202,7 +203,7 @@ def cmd_bench(args) -> int:
         "command": "bench",
         "version": 1,
         "data": os.path.abspath(args.data),
-        "seed": seed,
+        "seed": base.seed,
         "test_fraction": args.test_fraction,
         "rows": rows,
     }
@@ -268,7 +269,7 @@ def cmd_oracle(args) -> int:
         raise ValueError("trials must be >= 1")
     if not 2 <= args.max_rules <= 20:
         raise ValueError("oracle guard: max-rules must be within [2, 20]")
-    report = run_reducer_suite(args.trials, args.max_rules, args.seed or 0)
+    report = run_reducer_suite(args.trials, args.max_rules, args.seed)
     if args.out:
         _write_json(report, args.out)
     print(
@@ -293,7 +294,7 @@ def cmd_synth(args) -> int:
     ds, samples = synth_shape_dataset(
         args.n_per_class,
         args.noise,
-        Rng(args.seed or 0),
+        Rng(args.seed),
         frame_shape=(args.frame_size, args.frame_size),
         side=args.side,
         keep_frames=args.samples,
@@ -345,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also run the active-classification stream simulation")
     p.add_argument("--window", type=int, default=120)
     p.add_argument("--episodes", type=int, default=25)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("bench", help="compare elm / ml-elm / hml-elm on one dataset")
@@ -359,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="check the reducers against the exhaustive oracle")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--max-rules", type=int, default=12)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_oracle)
 
@@ -367,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--n-per-class", type=int, required=True)
     p.add_argument("--noise", type=float, default=0.25)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--frame-size", type=int, default=120)
     p.add_argument("--side", type=int, default=52)
     p.add_argument("--samples", type=int, default=3,

@@ -15,14 +15,14 @@ import math
 
 import numpy as np
 
-from .autoencoder import ACTIVATIONS, Autoencoder
+from .autoencoder import Autoencoder
 from .data import write_atomic
 from .pipeline import HEADS, FeatureScaler, HmlModel, PipelineConfig, TrainMetrics
 
 MAGIC = b"ELMKITM\x01"
-FORMAT_VERSION = 1
-# per-layer header fields besides mode and activation, in Autoencoder constructor order after beta
-LAYER_FIELDS = ("c", "reconstruction_error", "beta_orthogonality_gap")
+FORMAT_VERSION = 2
+# the per-layer header fields, in Autoencoder constructor order after beta and c
+LAYER_FIELDS = ("reconstruction_error", "beta_orthogonality_gap")
 
 
 def _contents(model: HmlModel) -> tuple[bytes, list]:
@@ -32,30 +32,16 @@ def _contents(model: HmlModel) -> tuple[bytes, list]:
     arrays = dict(zip(kind.arrays, head_arrays))
     arrays["scaler.offset"] = model.scaler.offset
     arrays["scaler.span"] = model.scaler.span
-    layer_meta = []
     for i, ae in enumerate(model.stack):
         arrays[f"stack.{i}.beta"] = ae.beta
-        fields = {k: getattr(ae, k) for k in LAYER_FIELDS}
-        layer_meta.append({"activation": ACTIVATIONS[ae.mode], "mode": ae.mode, **fields})
     names = sorted(arrays)
-    sections = []
-    offset = 0
-    for name in names:
-        a = np.asarray(arrays[name], dtype=np.float64)
-        nbytes = a.size * 8
-        sections.append(
-            {"name": name, "shape": list(a.shape), "offset": offset, "nbytes": nbytes}
-        )
-        offset += nbytes
     header = {
         "format_version": FORMAT_VERSION,
-        "kind": "hml",
         "config": model.config.to_dict(),
-        "n_classes": model.n_classes,
         "train_accuracy": model.metrics.train_accuracy,
-        "head": {"type": model.config.head, **head_meta},
-        "stack_layers": layer_meta,
-        "arrays": sections,
+        "head": head_meta,
+        "stack_layers": [{k: getattr(ae, k) for k in LAYER_FIELDS} for ae in model.stack],
+        "arrays": [{"name": name, "shape": list(np.shape(arrays[name]))} for name in names],
     }
     return json.dumps(header, sort_keys=True, separators=(",", ":")).encode(), [arrays[name] for name in names]
 
@@ -102,10 +88,10 @@ def _leaves(value, at="") -> dict:
     return {path: text for where, v in items for path, text in _leaves(v, where).items()}
 
 
-def _number(value, at: str) -> float:
-    """``value`` as a float, or a refusal naming header field ``at`` if the JSON value is not a number."""
-    if not isinstance(value, (int, float)):
-        raise ValueError(f"header field {at} is {json.dumps(value)}, but save_model writes a number")
+def _number(value, at: str, hi: float = math.inf) -> float:
+    """``value`` as a float, or a refusal naming header field ``at`` unless it is a finite JSON number in [0, hi]."""
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and 0 <= value <= hi):
+        raise ValueError(f"header field {at} is {json.dumps(value)}, but save_model writes a finite number in [0, {hi}]")
     return float(value)
 
 
@@ -129,24 +115,28 @@ def load_model(path) -> HmlModel:
         if not np.all(arrays["scaler.span"] > 0):
             raise ValueError("array scaler.span has entries that are not positive")
         scaler = FeatureScaler(arrays["scaler.offset"], arrays["scaler.span"])
-        layers = []
-        for i, meta in enumerate(header["stack_layers"]):
-            fields = (_number(meta[k], f"stack_layers[{i}].{k}") for k in LAYER_FIELDS)
-            layers.append(Autoencoder(arrays[f"stack.{i}.beta"], *fields))
-            if layers[-1].beta.ndim != 2:
-                raise ValueError(f"layer {i} weights have shape {layers[-1].beta.shape}, not two dimensions")
-        # the stored head type and layer widths make the config, so the comparison ties the header's to them
-        widths = [ae.beta.shape[0] for ae in layers]
-        config = PipelineConfig.from_dict({**header["config"], "head": header["head"]["type"], "layer_sizes": widths})
-        kind = HEADS[config.head]
+        # the arrays give the head type, its size and the layer widths, so the comparison ties the header's to them
+        head_type = next((h for h, k in HEADS.items() if set(k.arrays) <= arrays.keys()), None)
+        if head_type is None:
+            raise ValueError(f"no head's arrays among {sorted(arrays)}")
+        kind = HEADS[head_type]
         head = kind.rebuild(header["head"], *(arrays[name] for name in kind.arrays))
+        betas = [arrays[f"stack.{i}.beta"] for i in range(len(header["stack_layers"]))]
+        stored = {**header["config"], "head": head_type, "layer_sizes": [beta.shape[0] for beta in betas]}
+        config = PipelineConfig.from_dict({**stored, "head_size": kind.size(head, stored.get("head_size"))})
+        layers = []
+        for i, (beta, meta) in enumerate(zip(betas, header["stack_layers"])):
+            if beta.ndim != 2:
+                raise ValueError(f"layer {i} weights have shape {beta.shape}, not two dimensions")
+            fields = (_number(meta[k], f"stack_layers[{i}].{k}") for k in LAYER_FIELDS)
+            layers.append(Autoencoder(beta, config.cs[i], *fields))
         n_classes = arrays[kind.arrays[-1]].shape[1]  # an IndexError if that array is not 2-D
-        metrics = TrainMetrics(0.0, 0.0, _number(header["train_accuracy"], "train_accuracy"))
+        metrics = TrainMetrics(0.0, 0.0, _number(header["train_accuracy"], "train_accuracy", 1.0))
         model = HmlModel(scaler, tuple(layers), head, config, n_classes, metrics)
         written = _contents(model)[0]
         if written != blob:
             was, wants = _leaves(header), _leaves(json.loads(written))
-            where = next((p for p in {**wants, **was} if was.get(p) != wants.get(p)), None)
+            where = next((p for p in {**was, **wants} if was.get(p) != wants.get(p)), None)
             raise ValueError(f"header field {where} is {was.get(where, 'absent')}, but save_model writes "
                              f"{wants.get(where, 'absent')} for the model this file holds" if where else
                              "header is not spaced, ordered or formatted as save_model writes it")

@@ -132,8 +132,9 @@ class HeadKind(NamedTuple):
     fit: Callable  # (features, one-hot t, head_size, c, rng) -> (head, its scores on the features)
     predict: Callable  # (head, features) -> scores
     arrays: tuple[str, ...]  # the array names a model file holds for it; the last has a column per class
-    store: Callable  # head -> (header metadata besides "type", its arrays in that order)
+    store: Callable  # head -> (header metadata, its arrays in that order)
     rebuild: Callable  # (header metadata, *arrays) -> head
+    size: Callable  # (head, the header's head_size) -> the config's head_size
 
 
 def _ridge_train(feats, t, head_size, c, rng):
@@ -152,6 +153,7 @@ HEADS = {
         ("head.centers", "head.sigma_lower", "head.sigma_upper", "head.consequents"),
         lambda h: ({"stage": h.stage}, (h.rules.centers, h.rules.sigma_lower, h.rules.sigma_upper, h.consequents)),
         lambda meta, centers, lower, upper, q: Sit2Model(It2RuleBase(centers, lower, upper), q, meta["stage"]),
+        lambda head, size: head.n_rules,
     ),
     "ridge": HeadKind(
         _ridge_train,
@@ -159,13 +161,15 @@ HEADS = {
         ("head.weights",),
         lambda weights: ({}, (weights,)),
         lambda meta, weights: weights,
+        lambda weights, size: size,  # ridge has no size, so the header's stands
     ),
     "elm": HeadKind(
         lambda feats, t, size, c, rng: elm_train(feats, t, size, c, rng),
         lambda head, feats: elm_predict(head, feats),
         ("head.input_weights", "head.biases", "head.output_weights"),
-        lambda head: ({"activation": "sigmoid"}, (head.input_weights, head.biases, head.output_weights)),
+        lambda head: ({}, (head.input_weights, head.biases, head.output_weights)),
         lambda meta, *arrays: ElmModel(*arrays),
+        lambda head, size: head.input_weights.shape[1],
     ),
 }
 

@@ -158,6 +158,28 @@ def test_bench_table_schema(blob_manifest):
         assert 0.0 <= row["test_accuracy"] <= 1.0
 
 
+def test_bench_takes_its_seed_from_the_config_unless_given_one(tmp_path):
+    # overlapping classes, so a row's accuracies depend on the seed's split and weights
+    gen = Rng(44).generator()
+    lines = ["a,b,c,label"] + [",".join(f"{v:.6f}" for v in gen.normal(k % 3, 1.5, 3)) + f",c{k % 3}" for k in range(90)]
+    (tmp_path / "rows.csv").write_text("\n".join(lines) + "\n")
+    (tmp_path / "manifest.json").write_text(json.dumps({"type": "csv", "path": "rows.csv"}))
+    reports = {}
+    for name, config_seed, seed_args in [("config", {"seed": 5}, []), ("option", {}, ["--seed", "5"]),
+                                         ("option-over-config", {"seed": 3}, ["--seed", "5"]), ("default", {}, [])]:
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"layer_sizes": [6], "Cs": [1e3, 1e6], "head_size": 4, "elm_hidden": 30, **config_seed}))
+        out = tmp_path / name
+        assert main(["bench", "--data", str(tmp_path / "manifest.json"), "--out", str(out), "--config", str(cfg),
+                     *seed_args]) == 0
+        report = json.loads((out / "bench.json").read_text())
+        # train_seconds is wall time; every other field of a row is a function of the seed
+        reports[name] = report["seed"], [{k: v for k, v in row.items() if k != "train_seconds"} for row in report["rows"]]
+    assert reports["config"] == reports["option"] == reports["option-over-config"]
+    assert reports["config"][0] == 5 and reports["default"][0] == 0
+    assert reports["config"][1] != reports["default"][1]
+
+
 def test_bench_schema_validates(blob_manifest):
     jsonschema = pytest.importorskip("jsonschema")
     tmp, manifest, _ = blob_manifest

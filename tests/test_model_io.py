@@ -1,5 +1,6 @@
 import copy
 import functools
+import itertools
 import json
 import math
 import operator
@@ -80,7 +81,7 @@ def test_rejects_wrong_version(tmp_path):
     save_model(hml_train(x, labels, cfg), path)
     raw = bytearray(path.read_bytes())
     # bump the version digit inside the JSON header
-    idx = raw.find(b'"format_version":1')
+    idx = raw.find(b'"format_version":2')
     raw[idx + len(b'"format_version":') : idx + len(b'"format_version":') + 1] = b"9"
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="unsupported model format"):
@@ -126,21 +127,36 @@ def _set(i, key, value):
     return _edit_sections(lambda sections: sections[i].__setitem__(key, value(sections)))
 
 
-def _drop_scaler_span(raw):
-    header, payload = split_file(raw)
-    section = next(s for s in header["arrays"] if s["name"] == "scaler.span")
-    start, stop = section["offset"], section["offset"] + section["nbytes"]
-    header["arrays"].remove(section)
-    for s in header["arrays"]:
-        if s["offset"] > start:
-            s["offset"] -= section["nbytes"]
-    return join_file(header, payload[:start] + payload[stop:])
+def byte_span(sections, name):
+    """(start, stop) of array ``name`` in the payload, which the sections fill one after another in order."""
+    stops = list(itertools.accumulate(8 * math.prod(s["shape"]) for s in sections))
+    i = next(i for i, s in enumerate(sections) if s["name"] == name)
+    return stops[i] - 8 * math.prod(sections[i]["shape"]), stops[i]
+
+
+def _drop_arrays(prefix):
+    """Corruption that removes each array whose name starts with ``prefix``, and its bytes."""
+
+    def corrupt(raw):
+        header, payload = split_file(raw)
+        kept = [s for s in header["arrays"] if not s["name"].startswith(prefix)]
+        payload = b"".join(payload[slice(*byte_span(header["arrays"], s["name"]))] for s in kept)
+        return join_file({**header, "arrays": kept}, payload)
+
+    return corrupt
 
 
 def _add_unread_array(raw):
     header, payload = split_file(raw)
-    header["arrays"].append({"name": "head.extra", "shape": [1], "offset": len(payload), "nbytes": 8})
+    header["arrays"].append({"name": "head.extra", "shape": [1]})
     return join_file(header, payload + bytes(8))
+
+
+def _gap_before_section(raw):
+    """Eight zero bytes between the first two sections' bytes."""
+    header, payload = split_file(raw)
+    start = byte_span(header["arrays"], header["arrays"][1]["name"])[0]
+    return join_file(header, payload[:start] + bytes(8) + payload[start:])
 
 
 def _set_layer(i, key, value):
@@ -168,10 +184,11 @@ CORRUPTIONS = {
     "short-length": lambda raw: raw[:10],
     "non-object-header": lambda raw: join_file([1, 2], b""),
     "no-array-table": lambda raw: join_file({**split_file(raw)[0], "arrays": 3}, split_file(raw)[1]),
+    # format 1 wrote each section's offset and byte count; the sections' order and shapes give them now
     "overlapping-offset": _set(1, "offset", lambda sections: 0),
-    "gap-before-section": _set(1, "offset", lambda sections: sections[1]["offset"] + 8),
+    "gap-before-section": _gap_before_section,
     "sections-out-of-order": _edit_sections(lambda sections: sections.reverse()),
-    "nbytes-not-shape": _set(0, "nbytes", lambda sections: sections[0]["nbytes"] + 8),
+    "nbytes-not-shape": _set(0, "nbytes", lambda sections: 8 * math.prod(sections[0]["shape"]) + 8),
     "negative-dimension": _set(0, "shape", lambda sections: [-1, 0]),
     "non-integer-dimension": _set(0, "shape", lambda sections: [1.5]),
     "shape-not-a-list": _set(0, "shape", lambda sections: 4),
@@ -179,11 +196,13 @@ CORRUPTIONS = {
     "unnamed-section": _set(0, "name", lambda sections: None),
     "repeated-name": _set(1, "name", lambda sections: sections[0]["name"]),
     "trailing-bytes": lambda raw: raw + bytes(8),
-    "missing-array": _drop_scaler_span,
+    "missing-array": _drop_arrays("scaler.span"),
+    "missing-head": _drop_arrays("head."),
     "header-not-json": _bad_header(b"{x}"),
     "header-not-utf8": _bad_header(b'{"a":"\xff"}'),
     "unread-array": _add_unread_array,
-    # the saved_model stack is an equal layer, then a compressed one
+    # the saved_model stack is an equal layer, then a compressed one; format 1 wrote each layer's mode
+    # and activation, which its weights' shape gives now
     "unknown-layer-mode": _set_layer(1, "mode", "bogus"),
     "compressed-layer-called-equal": _edit_header(
         lambda header: header["stack_layers"][1].update(mode="equal", activation="linear")
@@ -196,8 +215,18 @@ CORRUPTIONS = {
     "equal-layer-sigmoid": _set_layer(0, "activation", "sigmoid"),
     "elm-input-weights-not-a-matrix": _elm_vector_input_weights,
     "unknown-head-stage": _edit_header(lambda header: header["head"].__setitem__("stage", "bogus")),
-    # the saved_model head scores 3 classes
+    # the saved_model head scores 3 classes; format 1 wrote that count, which the head's arrays give now
     "n-classes-not-head-width": _edit_header(lambda header: header.__setitem__("n_classes", 7)),
+    # True == 1, but never the version save_model writes
+    "boolean-format-version": _edit_header(lambda header: header.__setitem__("format_version", True)),
+    # the header floats no score reads: layer diagnostics are finite and not negative, train_accuracy is in [0, 1]
+    "layer-error-nan": _set_layer(0, "reconstruction_error", math.nan),
+    "layer-error-negative": _set_layer(1, "reconstruction_error", -0.5),
+    "layer-gap-infinite": _set_layer(1, "beta_orthogonality_gap", math.inf),
+    "layer-gap-negative": _set_layer(0, "beta_orthogonality_gap", -1e-17),
+    "train-accuracy-above-one": _edit_header(lambda header: header.__setitem__("train_accuracy", 1.5)),
+    "train-accuracy-negative": _edit_header(lambda header: header.__setitem__("train_accuracy", -0.25)),
+    "train-accuracy-minus-infinity": _edit_header(lambda header: header.__setitem__("train_accuracy", -math.inf)),
     # true == 1, so the section still tiles the payload
     "boolean-dimension": _edit_sections(
         lambda sections: next(s for s in sections if s["name"] == "scaler.offset")["shape"].append(True)
@@ -243,14 +272,15 @@ def test_corrupt_file_is_a_value_error_and_eval_exits_2(saved_model, name, capsy
     assert str(saved_model) in capsys.readouterr().err
 
 
+# format 1 wrote the elm head's activation, which is always the sigmoid; format 2 writes no elm head metadata
 @pytest.mark.parametrize("activation", ["tanh", "linear"])
 def test_elm_head_with_another_activation_is_refused(tmp_path, activation, capsys):
     path = save_with_manifest(tmp_path, PipelineConfig((), (1e4,), head="elm", head_size=5, seed=0))
     header, payload = split_file(path.read_bytes())
-    assert header["head"] == {"type": "elm", "activation": "sigmoid"}
+    assert header["head"] == {}
     header["head"]["activation"] = activation
     path.write_bytes(join_file(header, payload))
-    message = f'header field head.activation is "{activation}", but save_model writes "sigmoid"'
+    message = f'header field head.activation is "{activation}", but save_model writes absent'
     with pytest.raises(ValueError, match=message) as info:
         load_model(path)
     assert str(info.value).startswith(f"{path}: ")
@@ -259,19 +289,25 @@ def test_elm_head_with_another_activation_is_refused(tmp_path, activation, capsy
 
 
 @pytest.mark.parametrize(
-    "config_edit,message",
+    "head,config_edit,message",
     [
-        pytest.param({"head": "sit2", "head_size": 7},
+        pytest.param("ridge", {"head": "sit2", "head_size": 7},
                      'header field config.head is "sit2", but save_model writes "ridge"', id="head-type"),
-        pytest.param({"layer_sizes": [99]},
+        pytest.param("ridge", {"layer_sizes": [99]},
                      r"header field config.layer_sizes\[0\] is 99, but save_model writes 3", id="layer-width"),
         # the stored widths replace the header's, and one layer takes two ridge constants
-        pytest.param({"layer_sizes": [99, 99], "Cs": [10.0, 10.0, 1e4]},
+        pytest.param("ridge", {"layer_sizes": [99, 99], "Cs": [10.0, 10.0, 1e4]},
                      r"need 2 ridge constants \(one per layer plus the head\), got 3", id="layer-count"),
+        # the stored head's rule count or hidden width replaces the header's head_size; ridge has no size
+        pytest.param("sit2", {"head_size": 7}, "header field config.head_size is 7, but save_model writes 4 ",
+                     id="sit2-head-size"),
+        pytest.param("elm", {"head_size": 7}, "header field config.head_size is 7, but save_model writes 5 ",
+                     id="elm-head-size"),
     ],
 )
-def test_header_config_that_disagrees_with_the_stored_model_is_refused(tmp_path, config_edit, message, capsys):
-    path = save_with_manifest(tmp_path, PipelineConfig((3,), (10.0, 1e4), head="ridge", seed=0))
+def test_header_config_that_disagrees_with_the_stored_model_is_refused(tmp_path, head, config_edit, message, capsys):
+    cfg = PipelineConfig((3,), (10.0, 1e4), head=head, head_size={"ridge": 40, "sit2": 4, "elm": 5}[head], seed=0)
+    path = save_with_manifest(tmp_path, cfg)
     header, payload = split_file(path.read_bytes())
     header["config"].update(config_edit)
     path.write_bytes(join_file(header, payload))
@@ -300,16 +336,28 @@ def test_truncated_file_is_a_value_error(saved_model):
         ("header-not-utf8", "header is not valid JSON"),
         ("unread-array", r'header field arrays\[8\]\.name is "head\.extra", but save_model writes absent'),
         ("boolean-dimension", "malformed shape"),
-        ("unknown-layer-mode", r'header field stack_layers\[1\]\.mode is "bogus", but save_model writes "compressed"'),
-        # the layer's fields are compared in key order, so its activation differs first
+        ("unknown-layer-mode", r'header field stack_layers\[1\]\.mode is "bogus", but save_model writes absent'),
+        # the file's fields are compared in its key order, so the layer's activation differs first
         ("compressed-layer-called-equal",
-         r'header field stack_layers\[1\]\.activation is "linear", but save_model writes "sigmoid"'),
+         r'header field stack_layers\[1\]\.activation is "linear", but save_model writes absent'),
         ("one-dimensional-layer-weights", r"layer 1 weights have shape \(12,\), not two dimensions"),
-        ("compressed-layer-tanh", r'header field stack_layers\[1\]\.activation is "tanh", but save_model writes "sigmoid"'),
-        ("equal-layer-sigmoid", r'header field stack_layers\[0\]\.activation is "sigmoid", but save_model writes "linear"'),
+        ("compressed-layer-tanh", r'header field stack_layers\[1\]\.activation is "tanh", but save_model writes absent'),
+        ("equal-layer-sigmoid", r'header field stack_layers\[0\]\.activation is "sigmoid", but save_model writes absent'),
         ("unknown-head-stage", "unknown sit2 head stage 'bogus'"),
         ("elm-input-weights-not-a-matrix", r"elm weights \(3,\), biases \(1,\) and output weights \(1, 3\) do not chain"),
-        ("n-classes-not-head-width", "header field n_classes is 7, but save_model writes 3"),
+        ("n-classes-not-head-width", "header field n_classes is 7, but save_model writes absent"),
+        ("overlapping-offset", r"header field arrays\[1\]\.offset is 0, but save_model writes absent"),
+        ("nbytes-not-shape", r"header field arrays\[0\]\.nbytes is \d+, but save_model writes absent"),
+        ("gap-before-section", "8 bytes follow the last array"),
+        ("missing-head", r"no head's arrays among \['scaler.offset', 'scaler.span', 'stack.0.beta', 'stack.1.beta'\]"),
+        ("boolean-format-version", "unsupported model format version True"),
+        ("layer-error-nan", r"header field stack_layers\[0\]\.reconstruction_error is NaN, but save_model writes a finite"),
+        ("layer-error-negative", r"header field stack_layers\[1\]\.reconstruction_error is -0\.5, "),
+        ("layer-gap-infinite", r"header field stack_layers\[1\]\.beta_orthogonality_gap is Infinity, "),
+        ("layer-gap-negative", r"header field stack_layers\[0\]\.beta_orthogonality_gap is -1e-17, "),
+        ("train-accuracy-above-one", r"header field train_accuracy is 1\.5, but save_model writes a finite number in \[0, 1"),
+        ("train-accuracy-negative", r"header field train_accuracy is -0\.25, "),
+        ("train-accuracy-minus-infinity", "header field train_accuracy is -Infinity, "),
     ],
 )
 def test_header_faults_name_the_file_and_the_fault(saved_model, name, message):
@@ -330,7 +378,7 @@ MUTATED_MODELS = {
     "ridge": PipelineConfig((5,), (10.0, 1e4), head="ridge", seed=0),
 }
 # the header floats the loader reads as numbers: a refused mutation of one names the field and its value
-FLOAT_FIELDS = ("c", "reconstruction_error", "beta_orthogonality_gap", "train_accuracy")
+FLOAT_FIELDS = ("reconstruction_error", "beta_orthogonality_gap", "train_accuracy")
 
 
 def test_mutated_models_cover_every_head():
@@ -395,10 +443,48 @@ def test_each_header_leaf_mutation_is_refused_or_scores_as_the_intact_file(tmp_p
             assert hml_predict(model, x).tobytes() == intact, (leaf, value)
 
 
+def format_1_header(header, model):
+    """The header format version 1 wrote for ``model``, whose version-2 header is ``header``."""
+    old = copy.deepcopy(header)
+    old.update(format_version=1, kind="hml", n_classes=model.n_classes)
+    old["head"]["type"] = model.config.head
+    if model.config.head == "elm":
+        old["head"]["activation"] = "sigmoid"
+    for layer, ae, c in zip(old["stack_layers"], model.stack, model.config.cs):
+        layer.update(mode=ae.mode, activation="linear" if ae.mode == "equal" else "sigmoid", c=c)
+    for section in old["arrays"]:
+        start, stop = byte_span(old["arrays"], section["name"])
+        section.update(offset=start, nbytes=stop - start)
+    return old
+
+
+def test_a_format_1_file_is_refused_by_its_version(saved_model, capsys):
+    header, payload = split_file(saved_model.read_bytes())
+    saved_model.write_bytes(join_file(format_1_header(header, load_model(saved_model)), payload))
+    assert_refused(saved_model, "unsupported model format version 1$", capsys)
+
+
+@pytest.mark.parametrize("head", sorted(MUTATED_MODELS))
+def test_each_field_format_1_wrote_and_format_2_derives_is_refused_by_name(tmp_path, head, capsys):
+    path = save_with_manifest(tmp_path, MUTATED_MODELS[head])
+    header, payload = split_file(path.read_bytes())
+    old = format_1_header(header, load_model(path))
+    written = leaf_paths(header)
+    dropped = [leaf for leaf in leaf_paths(old) if leaf not in written]
+    # the head's type and class count, a layer's kind and c, each array's place in the payload, and the elm
+    # head's activation: each is given by the config or the arrays, or is a constant of the code
+    assert {leaf[-1] for leaf in dropped} == {"kind", "n_classes", "type", "mode", "activation", "c", "offset", "nbytes"}
+    for leaf in dropped:
+        value = functools.reduce(operator.getitem, leaf, old)
+        path.write_bytes(join_file(with_leaf(header, leaf, value), payload))
+        message = f"header field {field_name(leaf)} is {json.dumps(value)}, but save_model writes absent"
+        assert_refused(path, re.escape(message), capsys)
+
+
 def with_first_entry(raw, name, value):
     """Model file bytes ``raw`` with the first entry of array ``name`` set to ``value``."""
     header, payload = split_file(raw)
-    start = next(s["offset"] for s in header["arrays"] if s["name"] == name)
+    start = byte_span(header["arrays"], name)[0]
     return join_file(header, payload[:start] + struct.pack("<d", value) + payload[start + 8 :])
 
 
