@@ -5,10 +5,17 @@ a larger box blur, a second threshold, and largest-component selection,
 then reports the component's integer centroid.  Border handling is
 zero-padded throughout, which keeps the pipeline translation equivariant
 away from the frame edges.
+
+Each blur-and-threshold step gives the mask that thresholding
+``scipy.ndimage.uniform_filter`` gives, bit for bit.  It is decided on the
+exact integer window counts; the float replica of the filter runs only when
+some count lies within the replica's rounding error of the cut, which on
+the default threshold of one half needs an even peak count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,9 +71,12 @@ def _hsv8(px: np.ndarray):
     div = np.where(delta > 0, delta, 1.0)
     hue = np.where(
         maxc == r,
-        np.mod((g - b) / div, 6.0),
+        (g - b) / div,
         np.where(maxc == g, (b - r) / div + 2.0, (r - g) / div + 4.0),
     )
+    # only the red branch goes below 0, to (g - b) / div in [-1, 0); adding 6
+    # there is np.mod(hue, 6.0), rounding included, at a fraction of its cost
+    np.add(hue, 6.0, out=hue, where=hue < 0)
     hue *= 60.0  # degrees in [0, 360)
     sat = np.where(maxc > 0, delta / np.where(maxc > 0, maxc, 1.0), 0.0)
     return np.rint(hue / 360.0 * 255.0), np.rint(sat * 255.0), np.rint(maxc * 255.0)
@@ -95,6 +105,13 @@ def hsv_to_rgb_units(h_deg, s, v):
     return r, g, b
 
 
+def _header_int(path, name: str, raw: bytes) -> int:
+    """A PPM header field as a decimal integer, optionally negative, so that a bad size is reported as one."""
+    if not (raw[1:] if raw[:1] == b"-" else raw).isdigit():
+        raise ValueError(f"{path}: PPM {name} is not an integer: {raw.decode('latin-1')!r}")
+    return int(raw)
+
+
 def read_ppm(path) -> ImageFrame:
     """Read a binary P6 PPM (maxval 255)."""
     with open(path, "rb") as f:
@@ -117,7 +134,10 @@ def read_ppm(path) -> ImageFrame:
     pos += 1  # single whitespace after maxval
     if fields[0] != b"P6":
         raise ValueError(f"{path}: not a P6 PPM")
-    width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    width, height, maxval = (_header_int(path, *field) for field in zip(("width", "height", "maxval"), fields[1:]))
+    for name, value in (("width", width), ("height", height)):
+        if value < 1:
+            raise ValueError(f"{path}: PPM {name} must be positive, got {value}")
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 is supported")
     need = width * height * 3
@@ -155,6 +175,40 @@ def _blur(mask: np.ndarray, size: int) -> np.ndarray:
     return np.cumsum(steps, axis=1, out=steps) / size
 
 
+def _blur_threshold(mask: np.ndarray, size: int, threshold: float) -> np.ndarray:
+    """``_blur(mask, size) >= threshold * _blur(mask, size).max()``, decided on window counts.
+
+    Each ``size x size`` window's count c of set pixels is an exact integer,
+    summed from shifted slices of the zero-padded mask.  On its way to a
+    window of a row ``w`` pixels wide, ``_blur`` rounds fewer than
+    2 * (w + size) times, each time by at most 2**-53 of a value below
+    size + 1, and then divides by ``size``; so for size >= 3 the replica
+    reads within 2**-51 * (w + size) of c / size**2.  Its maximum therefore
+    sits on a peak-count window, and its comparison agrees with
+    ``c > threshold * peak`` wherever c lies farther than
+    2**-49 * size**2 * (w + size) from that cut.  ``tol`` is twice that;
+    only when some count lies within it (a tie on the cut, or a cut within
+    rounding of zero) does the replica decide.
+    """
+    h, w = mask.shape
+    pad = size // 2
+    padded = np.zeros((h + size - 1, w + size - 1), dtype=np.min_scalar_type(size * size))
+    padded[pad : pad + h, pad : pad + w] = mask
+    cols = padded[:h].copy()
+    for k in range(1, size):
+        cols += padded[k : k + h]
+    counts = cols[:, :w].copy()
+    for k in range(1, size):
+        counts += cols[:, k : k + w]
+    cut = threshold * int(counts.max())
+    near = round(cut)
+    tol = 2.0**-48 * size * size * (w + size)
+    if abs(near - cut) <= tol and (counts == near).any():
+        blurred = _blur(mask, size)
+        return blurred >= threshold * blurred.max()
+    return counts > math.floor(cut)  # no count equals cut, so > and >= agree
+
+
 def _largest_component(mask: np.ndarray):
     """(uint8 mask, rounded centroid) of the largest 4-connected component; None if empty.
 
@@ -164,38 +218,50 @@ def _largest_component(mask: np.ndarray):
     component that starts first.
     """
     h, w = mask.shape
-    rows, cols = np.nonzero(np.diff(mask, axis=1, prepend=False, append=False))
-    row, start, end = rows[::2], cols[::2], cols[1::2]  # run i covers [start[i], end[i]) of its row
-    if row.size == 0:
+    stride = w + 1  # rows of the raster end in a clear pixel, so no run wraps into the next row
+    raster = np.zeros(h * stride + 1, dtype=bool)  # and a clear pixel before the first row
+    raster[1:].reshape(h, stride)[:, :w] = mask
+    edges = np.flatnonzero(raster[1:] != raster[:-1])
+    start, end = edges[::2], edges[1::2]  # run i covers [start[i], end[i]) of raster[1:]
+    if start.size == 0:
         return None
     # the runs of the next row that overlap run i are first[i] <= j < last[i]
-    key = row * (w + 1)
-    first = np.searchsorted(key + end, key + w + 1 + start, side="right")
-    last = np.searchsorted(key + start, key + w + 1 + end, side="left")
-    parent = list(range(row.size))
+    first = np.searchsorted(end, start + stride, side="right")
+    last = np.searchsorted(start, end + stride, side="left")
+    parent = list(range(start.size))
 
     def root(i):
         while parent[i] != i:
             parent[i] = i = parent[parent[i]]
         return i
 
-    for i, lo, hi in zip(range(row.size), first.tolist(), last.tolist()):
+    for i, lo, hi in zip(range(start.size), first.tolist(), last.tolist()):
         for j in range(lo, hi):
             a, b = root(i), root(j)
             parent[max(a, b)] = min(a, b)
-    roots = np.array([root(i) for i in range(row.size)])
-    keep = roots == np.argmax(np.bincount(roots, weights=end - start))
-    row, start, end = row[keep], start[keep], end[keep]
-    toggles = np.zeros((h, w + 1), dtype=np.int8)
-    toggles[row, start] = 1
-    toggles[row, end] = -1
-    component = np.cumsum(toggles[:, :w], axis=1, dtype=np.int8).view(np.uint8)
+    roots = np.array([root(i) for i in range(start.size)])
+    length = end - start
+    keep = roots == np.argmax(np.bincount(roots, weights=length))
+    start, length = start[keep], length[keep]
+    row = start // stride
+    col = start - row * stride
+    # pixel k of the kept runs lies at k + (run start - pixels in earlier runs)
+    before = np.cumsum(length) - length
+    n = int(before[-1] + length[-1])
+    component = np.zeros(h * w, dtype=np.uint8)
+    component[np.repeat(row * w + col - before, length) + np.arange(n)] = 1
     # exact integer sums, so each mean is the float rows.mean() gives; round
     # half up: commutes with integer shifts, keeping the pipeline translation
     # equivariant (half-even rounding would not)
-    n = int((end - start).sum())
-    sums = int(row @ (end - start)), int((start + end - 1) @ (end - start)) // 2
-    return component, tuple(math.floor(total / n + 0.5) for total in sums)
+    sums = int(row @ length), int((2 * col + length - 1) @ length) // 2
+    return component.reshape(h, w), tuple(math.floor(total / n + 0.5) for total in sums)
+
+
+@functools.cache
+def _value_floor(val_min: float) -> int:
+    """The least uint8 channel maximum whose 8-bit value level reaches ``val_min``."""
+    # value is the channel maximum over 255 and its 8-bit levels rise with it
+    return 256 - int(np.count_nonzero(_VALUE_LEVELS >= val_min))
 
 
 def segment_object(img: ImageFrame, hue_lo: float, hue_hi: float, threshold: float = 0.5):
@@ -214,11 +280,8 @@ def segment_object(img: ImageFrame, hue_lo: float, hue_hi: float, threshold: flo
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold!r}")
     px = img.pixels
-    # value is the channel maximum over 255 and its 8-bit levels rise with
-    # it, so the value floor is a threshold on the uint8 maximum
-    lowest = 256 - np.count_nonzero(_VALUE_LEVELS >= VAL_MIN)
     maxc = np.maximum(np.maximum(px[..., 0], px[..., 1]), px[..., 2])
-    bright = np.flatnonzero(maxc >= lowest)
+    bright = np.flatnonzero(maxc >= _value_floor(VAL_MIN))
     h8, s8, _ = _hsv8(np.take(px.reshape(-1, 3), bright, axis=0))
     hue = h8 / 255.0 * 360.0
     if hue_lo <= hue_hi:
@@ -231,8 +294,7 @@ def segment_object(img: ImageFrame, hue_lo: float, hue_hi: float, threshold: flo
     if not mask.any():
         raise ValueError("no object in hue band")
     for size in BLUR_SIZES:  # a non-empty mask's blur peaks above 0 and keeps its peak
-        blurred = _blur(mask, size)
-        mask = blurred >= threshold * blurred.max()
+        mask = _blur_threshold(mask, size, threshold)
     component, centroid = _largest_component(mask)
     return ImageFrame(component, "binary"), centroid
 

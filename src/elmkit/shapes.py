@@ -93,8 +93,8 @@ def synth_shape(kind: str, pose: ShapePose, noise_level: float, rng: Rng, frame_
     sat = 0.88 + gen.uniform(-0.06, 0.06)
     val = 0.82 + gen.uniform(-0.08, 0.08)
     r, g, b = hsv_to_rgb_units(hue % 360.0, sat, val)
-    frame = np.full((h, w, 3), 18.0)  # uniform dark background
-    frame[inside] = np.array([r, g, b]) * 255.0
+    palette = np.array([[18.0, 18.0, 18.0], np.array([r, g, b]) * 255.0])  # uniform dark background, shape color
+    frame = np.take(palette, inside.view(np.uint8), axis=0)
     if noise_level > 0.0:
         # gen.normal(0.0, sigma) returns 0.0 + sigma * z from the same draws; adding
         # 0.0 only turns -0.0 into +0.0, which adding it to the frame does anyway

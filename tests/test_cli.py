@@ -304,6 +304,23 @@ def test_segment_cli_rejects_zero_threshold(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "header, message",
+    [
+        (b"P6\nab 2\n255\n", "width is not an integer: 'ab'"),
+        (b"P6\n2 1.5\n255\n", "height is not an integer: '1.5'"),
+        (b"P6\n2 2\n2.5e2\n", "maxval is not an integer: '2.5e2'"),
+        (b"P6\n-1 2\n255\n", "width must be positive, got -1"),
+        (b"P6\n2 0\n255\n", "height must be positive, got 0"),
+    ],
+)
+def test_segment_cli_names_the_file_and_field_of_a_bad_ppm_size(tmp_path, capsys, header, message):
+    path = tmp_path / "bad.ppm"
+    path.write_bytes(header + bytes(12))
+    assert main(["segment", "--image", str(path)]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {path}: PPM {message}"
+
+
+@pytest.mark.parametrize(
     "option, named",
     [
         (["--side", "0"], "side"),

@@ -309,6 +309,71 @@ def test_blur_matches_uniform_filter_bitwise(size):
         assert imaging._blur(mask, size).tobytes() == expected.tobytes(), mask.shape
 
 
+def replica_calls(monkeypatch):
+    """Record the size of every call into the float replica ``imaging._blur``."""
+    calls = []
+    replica = imaging._blur
+
+    def counted(mask, size):
+        calls.append(size)
+        return replica(mask, size)
+
+    monkeypatch.setattr(imaging, "_blur", counted)
+    return calls
+
+
+def even_peak_masks(gen, size, n):
+    """Sparse masks whose densest window holds an even count c, so that windows
+    holding c / 2 lie exactly on the default cut."""
+    masks = []
+    while len(masks) < n:
+        mask = gen.random(tuple(gen.integers(1, 30, 2))) < 0.08
+        peak = round(float(imaging._blur(mask, size).max()) * size * size)
+        if peak and peak % 2 == 0:
+            masks.append(mask)
+    return masks
+
+
+@pytest.mark.parametrize("size", imaging.BLUR_SIZES)
+def test_blur_threshold_matches_the_replica_on_both_paths(size, monkeypatch):
+    gen = np.random.default_rng(100 + size)
+    wide = [gen.random((2, 4000)) < 0.5, gen.random((3, 2500)) < 0.05]  # the tolerance grows with the width
+    masks = [*wide, *_test_masks(gen, 300)]
+    ties = even_peak_masks(gen, size, 150)
+    replica = imaging._blur
+    calls = replica_calls(monkeypatch)
+    # one ulp either side of 0.5 puts the cut within rounding of, but not on, an even peak's half
+    thresholds = (0.5, 1.0, 1e-12, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0))
+    ran = {"integer": 0, "replica": 0, "tie": 0}
+    for mask in masks + ties:
+        blurred = replica(mask, size)
+        for threshold in (*thresholds, float(gen.uniform(0.01, 1.0))):
+            before = len(calls)
+            got = imaging._blur_threshold(mask, size, threshold)
+            assert got.tobytes() == (blurred >= threshold * blurred.max()).tobytes(), (mask.shape, threshold)
+            ran["replica" if len(calls) > before else "integer"] += 1
+            ran["tie"] += threshold == 0.5 and len(calls) > before
+            if threshold == 1.0:  # the peak window lies on the cut
+                assert len(calls) == before + 1
+    assert ran["integer"] > 400 and ran["replica"] > 400 and ran["tie"] > 50, ran
+
+
+def test_pinned_patch_dataset_decides_every_blur_on_counts(monkeypatch):
+    # the frames of test_patch_digest_is_pinned never reach the replica, so
+    # that digest pins the integer path
+    calls = replica_calls(monkeypatch)
+    decided = []
+    decide = imaging._blur_threshold
+
+    def recorded(mask, size, threshold):
+        decided.append(size)
+        return decide(mask, size, threshold)
+
+    monkeypatch.setattr(imaging, "_blur_threshold", recorded)
+    synth_shape_dataset(5, 0.25, Rng(42))
+    assert sorted(decided) == sorted(imaging.BLUR_SIZES * 20) and calls == []
+
+
 def reference_largest_component(mask):
     labeled, n = ndimage.label(mask)
     if n == 0:
