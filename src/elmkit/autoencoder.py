@@ -22,7 +22,6 @@ from .numerics import Rng, as_integer, as_matrix, orthonormal_random, ridge_solv
 @dataclass(frozen=True)
 class Autoencoder:
     beta: np.ndarray  # n_hidden x n_inputs; encode(x) = f(x @ beta.T)
-    c: float
     reconstruction_error: float  # relative Frobenius error on the training batch
     beta_orthogonality_gap: float  # max |beta' beta - I|; rounding-level for equal width
 
@@ -44,7 +43,7 @@ def ae_train(x, n_hidden: int, c: float, rng: Rng) -> Autoencoder:
     unit-norm bias row, beta solved by ridge against x.  Width == input:
     h = x a with square orthogonal a (no bias, no squashing) and beta = a',
     which is the paper's pinv(h) x for full-column-rank x and encodes the
-    training rows identically for any x; ``c`` is recorded but unused.
+    training rows identically for any x; ``c`` is checked but unused.
     """
     x = as_matrix(x, "x")
     n_hidden = as_integer(n_hidden, "n_hidden")
@@ -65,7 +64,7 @@ def ae_train(x, n_hidden: int, c: float, rng: Rng) -> Autoencoder:
     g = beta.T @ beta  # max |beta' beta - I| in this one n_in x n_in buffer
     g.flat[:: n_in + 1] -= 1.0
     gap = float(np.abs(g, out=g).max())
-    return Autoencoder(beta, float(c), recon_err, gap)
+    return Autoencoder(beta, recon_err, gap)
 
 
 def ae_encode(ae: Autoencoder, x) -> np.ndarray:

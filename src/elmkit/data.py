@@ -64,10 +64,11 @@ def write_atomic(path, chunks) -> None:
 
 
 def _read_exact(f, n, path, what):
-    data = f.read(n)
-    if len(data) != n:
-        raise ValueError(f"truncated payload in {path}: expected {n} bytes of {what}")
-    return data
+    """``n`` bytes of ``what`` from ``f``, refused before reading if the rest of the file is shorter."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if not 0 <= n <= left:
+        raise ValueError(f"truncated payload in {path}: expected {n} bytes of {what}, but {left} are left")
+    return f.read(n)
 
 
 def load_idx(images_path, labels_path) -> LabeledDataset:
@@ -104,7 +105,9 @@ def save_idx(pixels, labels, images_path, labels_path, rows: int, cols: int) -> 
         raise ValueError(f"pixel rows of length {pixels.shape[1]} != {rows}x{cols}")
     if labels.size != count:
         raise ValueError("one label per image required")
-    quantized = np.clip(np.rint(pixels * 255.0), 0, 255).astype(np.uint8)
+    scaled = pixels * 255.0  # the one float temporary: rounded and clipped in place
+    np.rint(scaled, out=scaled)
+    quantized = np.clip(scaled, 0, 255, out=scaled).astype(np.uint8)
     write_atomic(images_path, [struct.pack(">iiii", IDX_IMAGE_MAGIC, count, rows, cols), quantized.tobytes()])
     write_atomic(labels_path, [struct.pack(">ii", IDX_LABEL_MAGIC, count), labels.tobytes()])
 

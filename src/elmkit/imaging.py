@@ -1,5 +1,8 @@
 """Raster frames, HSV conversion, PPM I/O, and the object segmentation pipeline.
 
+A frame is an ``(h, w, 3)`` uint8 RGB array and a mask an ``(h, w)`` uint8
+array of 0/1 values; each function checks the arrays it is given.
+
 Segmentation runs hue-band masking, a small box blur, a binary threshold,
 a larger box blur, a second threshold, and largest-component selection,
 then reports the component's integer centroid.  Border handling is
@@ -17,13 +20,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .data import write_atomic
-
-CHANNEL_KINDS = ("rgb8", "binary", "hsv8")
 
 BLUR_SIZES = (3, 7)
 SAT_MIN = 0.15  # drops dark/washed-out pixels whose hue is meaningless
@@ -31,34 +31,12 @@ VAL_MIN = 0.15
 _VALUE_LEVELS = np.rint(np.arange(256) / 255.0 * 255.0) / 255.0  # value of each uint8 channel maximum
 
 
-@dataclass(frozen=True)
-class ImageFrame:
-    pixels: np.ndarray  # rgb8/hsv8: (h, w, 3) uint8; binary: (h, w) uint8 in {0, 1}
-    channels: str
-
-    def __post_init__(self):
-        px = np.asarray(self.pixels)
-        if self.channels not in CHANNEL_KINDS:
-            raise ValueError(f"unknown channel kind {self.channels!r}")
-        if self.channels in ("rgb8", "hsv8"):
-            if px.ndim != 3 or px.shape[2] != 3 or px.dtype != np.uint8:
-                raise ValueError(f"{self.channels} frames need (h, w, 3) uint8 pixels")
-        else:
-            if px.ndim != 2 or px.dtype != np.uint8:
-                raise ValueError(f"{self.channels} frames need (h, w) uint8 pixels")
-            if px.size and px.max() > 1:
-                raise ValueError("binary frames only hold 0/1 values")
-        if px.shape[0] < 1 or px.shape[1] < 1:
-            raise ValueError("frames need at least one pixel")
-        object.__setattr__(self, "pixels", px)
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
+def _rgb8(px) -> np.ndarray:
+    """``px`` as an array if it is a non-empty ``(h, w, 3)`` uint8 frame; otherwise a ValueError."""
+    px = np.asarray(px)
+    if px.dtype != np.uint8 or px.ndim != 3 or px.shape[2] != 3 or px.size == 0:
+        raise ValueError(f"frames must be non-empty (h, w, 3) uint8 arrays, got {px.dtype} of shape {px.shape}")
+    return px
 
 
 def _hsv8(px: np.ndarray):
@@ -82,11 +60,9 @@ def _hsv8(px: np.ndarray):
     return np.rint(hue / 360.0 * 255.0), np.rint(sat * 255.0), np.rint(maxc * 255.0)
 
 
-def rgb_to_hsv(img: ImageFrame) -> ImageFrame:
-    """Hexcone HSV: hue in [0, 360) and saturation/value in [0, 1], all scaled to 8 bits."""
-    if img.channels != "rgb8":
-        raise ValueError(f"expected an rgb8 frame, got {img.channels}")
-    return ImageFrame(np.stack(_hsv8(img.pixels), axis=2).astype(np.uint8), "hsv8")
+def rgb_to_hsv(px: np.ndarray) -> np.ndarray:
+    """Hexcone HSV of a frame: hue in [0, 360) and saturation/value in [0, 1], all scaled to 8 bits."""
+    return np.stack(_hsv8(_rgb8(px)), axis=2).astype(np.uint8)
 
 
 def hsv_to_rgb_units(h_deg, s, v):
@@ -112,8 +88,8 @@ def _header_int(path, name: str, raw: bytes) -> int:
     return int(raw)
 
 
-def read_ppm(path) -> ImageFrame:
-    """Read a binary P6 PPM (maxval 255)."""
+def read_ppm(path) -> np.ndarray:
+    """Read a binary P6 PPM (maxval 255) as a frame."""
     with open(path, "rb") as f:
         data = f.read()
     fields = []
@@ -144,16 +120,18 @@ def read_ppm(path) -> ImageFrame:
     raw = data[pos : pos + need]
     if len(raw) != need:
         raise ValueError(f"{path}: truncated PPM payload")
-    return ImageFrame(np.frombuffer(raw, dtype=np.uint8).reshape(height, width, 3), "rgb8")
+    return np.frombuffer(raw, dtype=np.uint8).reshape(height, width, 3)
 
 
-def write_ppm(img: ImageFrame, path) -> None:
-    """Write as binary P6; binary frames are expanded to black and white RGB."""
-    if img.channels in ("rgb8", "hsv8"):
-        px = img.pixels
-    else:
-        px = np.repeat((img.pixels * 255).astype(np.uint8)[:, :, None], 3, axis=2)
-    write_atomic(path, [f"P6\n{img.width} {img.height}\n255\n".encode(), np.ascontiguousarray(px).tobytes()])
+def write_ppm(px: np.ndarray, path) -> None:
+    """Write a frame as binary P6; a mask is expanded to black and white RGB."""
+    px = np.asarray(px)
+    if px.ndim == 2:
+        if px.dtype != np.uint8 or (px.size and px.max() > 1):
+            raise ValueError(f"masks must be (h, w) uint8 arrays of 0/1 values, got {px.dtype} of shape {px.shape}")
+        px = np.repeat(px[:, :, None] * np.uint8(255), 3, axis=2)
+    h, w, _ = _rgb8(px).shape
+    write_atomic(path, [f"P6\n{w} {h}\n255\n".encode(), px.tobytes()])
 
 
 def _blur(mask: np.ndarray, size: int) -> np.ndarray:
@@ -264,8 +242,8 @@ def _value_floor(val_min: float) -> int:
     return 256 - int(np.count_nonzero(_VALUE_LEVELS >= val_min))
 
 
-def segment_object(img: ImageFrame, hue_lo: float, hue_hi: float, threshold: float = 0.5):
-    """Isolate the largest in-band object; returns (binary mask, (row, col) centroid).
+def segment_object(px: np.ndarray, hue_lo: float, hue_hi: float, threshold: float = 0.5):
+    """Isolate the largest in-band object of a frame; returns (mask, (row, col) centroid).
 
     ``hue_lo`` and ``hue_hi`` are degrees in [0, 360]; a range with
     hue_lo > hue_hi wraps around 0/360 (e.g. 330..30 selects reds).  The
@@ -273,13 +251,11 @@ def segment_object(img: ImageFrame, hue_lo: float, hue_hi: float, threshold: flo
     ``rgb_to_hsv``, but converts only the pixels that pass the value floor.
     ``threshold`` is a fraction of the post-blur maximum.
     """
-    if img.channels != "rgb8":
-        raise ValueError(f"expected an rgb8 frame, got {img.channels}")
+    px = _rgb8(px)
     if not (0.0 <= hue_lo <= 360.0 and 0.0 <= hue_hi <= 360.0):
         raise ValueError(f"hue bounds must be in [0, 360], got {hue_lo!r}, {hue_hi!r}")
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold!r}")
-    px = img.pixels
     maxc = np.maximum(np.maximum(px[..., 0], px[..., 1]), px[..., 2])
     bright = np.flatnonzero(maxc >= _value_floor(VAL_MIN))
     h8, s8, _ = _hsv8(np.take(px.reshape(-1, 3), bright, axis=0))
@@ -295,26 +271,29 @@ def segment_object(img: ImageFrame, hue_lo: float, hue_hi: float, threshold: flo
         raise ValueError("no object in hue band")
     for size in BLUR_SIZES:  # a non-empty mask's blur peaks above 0 and keeps its peak
         mask = _blur_threshold(mask, size, threshold)
-    component, centroid = _largest_component(mask)
-    return ImageFrame(component, "binary"), centroid
+    return _largest_component(mask)
 
 
-def extract_patch(img: ImageFrame, centroid, side: int = 52) -> np.ndarray:
+def extract_patch(mask: np.ndarray, centroid, side: int = 52) -> np.ndarray:
     """Flattened side x side crop of a mask centered on the centroid.
 
     The crop is zero-padded at the borders and binarized, so the result is
     always a length side*side vector of 0/1 values.
     """
-    if img.channels != "binary":
-        raise ValueError(f"expected a mask frame, got {img.channels}")
+    mask = np.asarray(mask)
+    if mask.ndim != 2:
+        raise ValueError(f"masks must be 2-D, got shape {mask.shape}")
+    if side < 1:
+        raise ValueError(f"side must be >= 1, got {side}")
+    h, w = mask.shape
     r, c = int(centroid[0]), int(centroid[1])
-    if not (0 <= r < img.height and 0 <= c < img.width):
+    if not (0 <= r < h and 0 <= c < w):
         raise ValueError(f"centroid {centroid} is outside the frame")
     half = side // 2
     out = np.zeros((side, side), dtype=np.float64)
     r0, c0 = r - half, c - half
     src_r0, src_c0 = max(r0, 0), max(c0, 0)
-    src_r1, src_c1 = min(r0 + side, img.height), min(c0 + side, img.width)
-    window = img.pixels[src_r0:src_r1, src_c0:src_c1]
+    src_r1, src_c1 = min(r0 + side, h), min(c0 + side, w)
+    window = mask[src_r0:src_r1, src_c0:src_c1]
     out[src_r0 - r0 : src_r1 - r0, src_c0 - c0 : src_c1 - c0] = (window > 0).astype(np.float64)
     return out.reshape(-1)

@@ -21,7 +21,7 @@ from .pipeline import HEADS, FeatureScaler, HmlModel, PipelineConfig, TrainMetri
 
 MAGIC = b"ELMKITM\x01"
 FORMAT_VERSION = 2
-# the per-layer header fields, in Autoencoder constructor order after beta and c
+# the per-layer header fields, in Autoencoder constructor order after beta
 LAYER_FIELDS = ("reconstruction_error", "beta_orthogonality_gap")
 
 
@@ -129,7 +129,7 @@ def load_model(path) -> HmlModel:
             if beta.ndim != 2:
                 raise ValueError(f"layer {i} weights have shape {beta.shape}, not two dimensions")
             fields = (_number(meta[k], f"stack_layers[{i}].{k}") for k in LAYER_FIELDS)
-            layers.append(Autoencoder(beta, config.cs[i], *fields))
+            layers.append(Autoencoder(beta, *fields))
         n_classes = arrays[kind.arrays[-1]].shape[1]  # an IndexError if that array is not 2-D
         metrics = TrainMetrics(0.0, 0.0, _number(header["train_accuracy"], "train_accuracy", 1.0))
         model = HmlModel(scaler, tuple(layers), head, config, n_classes, metrics)

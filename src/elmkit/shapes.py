@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset
-from .imaging import ImageFrame, extract_patch, hsv_to_rgb_units, segment_object
+from .imaging import extract_patch, hsv_to_rgb_units, segment_object
 from .numerics import Rng
 
 SHAPE_KINDS = ("box", "circle", "triangle", "irregular")
@@ -67,7 +67,7 @@ def _fill_polygon(vertices: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 
 def synth_shape(kind: str, pose: ShapePose, noise_level: float, rng: Rng, frame_shape=(120, 120)):
-    """Render one frame; returns (ImageFrame, class index).
+    """Render one frame; returns its (h, w, 3) uint8 RGB array and the class index.
 
     The same (kind, pose, noise_level, rng, frame_shape) always produces an
     identical frame.  ``noise_level`` in [0, 1] scales the additive pixel
@@ -102,8 +102,7 @@ def synth_shape(kind: str, pose: ShapePose, noise_level: float, rng: Rng, frame_
         noise *= 55.0 * noise_level
         frame += noise
     np.rint(frame, out=frame)
-    pixels = np.clip(frame, 0, 255, out=frame).astype(np.uint8)
-    return ImageFrame(pixels, "rgb8"), SHAPE_KINDS.index(kind)
+    return np.clip(frame, 0, 255, out=frame).astype(np.uint8), SHAPE_KINDS.index(kind)
 
 
 def _usable_cpus() -> int:
@@ -113,10 +112,10 @@ def _usable_cpus() -> int:
 
 
 def _patch_of(kind: str, pose: ShapePose, noise_level: float, rng: Rng, frame_shape, side: int, keep: bool):
-    """Render, segment and patch one frame; returns (patch, label, frame if ``keep``)."""
-    frame, label = synth_shape(kind, pose, noise_level, rng, frame_shape)
+    """Render, segment and patch one frame; returns (patch, frame if ``keep``)."""
+    frame, _ = synth_shape(kind, pose, noise_level, rng, frame_shape)
     mask, centroid = segment_object(frame, *HUE_BAND)
-    return extract_patch(mask, centroid, side), label, frame if keep else None
+    return extract_patch(mask, centroid, side), frame if keep else None
 
 
 def synth_shape_dataset(
@@ -137,7 +136,7 @@ def synth_shape_dataset(
     """
     if n_per_class < 1:
         raise ValueError("n_per_class must be >= 1")
-    if side < 1:
+    if side < 1:  # before x is sized from it
         raise ValueError(f"side must be >= 1, got {side}")
     if keep_frames < 0:
         raise ValueError(f"keep_frames must be >= 0, got {keep_frames}")
@@ -149,7 +148,7 @@ def synth_shape_dataset(
     scale_lo = max(8.0, scale_hi * 0.55)
     margin = int(np.ceil(scale_hi)) + 6
     gen = rng.split(0).generator()
-    jobs = []  # (kind, pose, frame index, keep), class-major like the poses' draws
+    jobs = []  # _patch_of's arguments, class-major like the poses' draws
     for kind in SHAPE_KINDS:
         for i in range(n_per_class):
             pose = ShapePose(
@@ -160,21 +159,20 @@ def synth_shape_dataset(
                     int(gen.integers(margin, w - margin)),
                 ),
             )
-            jobs.append((kind, pose, len(jobs), i < keep_frames))
+            jobs.append((kind, pose, noise_level, rng.split(1 + len(jobs)), frame_shape, side, i < keep_frames))
     # the noise draw and numpy's loops over whole frames release the GIL;
     # imported here because it loads logging, which `import elmkit` should not pay for
     from concurrent.futures import ThreadPoolExecutor
 
-    pool = ThreadPoolExecutor(min(len(jobs), _usable_cpus()))
-    try:
-        futures = [
-            pool.submit(_patch_of, kind, pose, noise_level, rng.split(1 + idx), frame_shape, side, keep)
-            for kind, pose, idx, keep in jobs
-        ]
-        # in frame order, so the first failing frame raises, as a serial loop would
-        results = [f.result() for f in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)
-    rows, labels, frames = zip(*results)
-    samples = [f for f in frames if f is not None]
-    return LabeledDataset(np.array(rows), np.array(labels), SHAPE_KINDS), samples
+    x = np.empty((len(jobs), side * side))
+    samples = []
+    with ThreadPoolExecutor(min(len(jobs), _usable_cpus())) as pool:
+        # map yields in frame order, so the first failing frame raises, as a serial
+        # loop would, and the frames not yet started are cancelled; it drops each
+        # result once read, so every patch is held once, in its row of x
+        for row, (patch, frame) in zip(x, pool.map(_patch_of, *zip(*jobs))):
+            row[:] = patch
+            if frame is not None:
+                samples.append(frame)
+    labels = np.repeat(np.arange(len(SHAPE_KINDS)), n_per_class)
+    return LabeledDataset(x, labels, SHAPE_KINDS), samples

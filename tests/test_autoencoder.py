@@ -71,7 +71,7 @@ def test_widths_and_cs_are_refused_not_coerced(batch, n_hidden, c, named):
 def test_a_ridge_constant_that_is_not_positive_is_refused_for_every_width(batch, n_hidden, c):
     with pytest.raises(ValueError, match="c must be a positive real number"):
         ae_train(batch, n_hidden, c, Rng(0))
-    assert ae_train(batch, n_hidden, float("inf"), Rng(0)).c == float("inf")
+    assert ae_train(batch, n_hidden, float("inf"), Rng(0)).beta.shape == (n_hidden, 4)
 
 
 def test_same_seed_identical_beta(batch):
@@ -88,7 +88,7 @@ def test_equal_layer_encode_is_pure_rotation(batch):
 
 
 def test_identity_beta_encodes_identically(batch):
-    ae = Autoencoder(np.eye(4), 1.0, 0.0, 0.0)
+    ae = Autoencoder(np.eye(4), 0.0, 0.0)
     assert ae.mode == "equal"
     np.testing.assert_allclose(ae_encode(ae, batch), batch, rtol=0, atol=0)
 

@@ -1,11 +1,12 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from elmkit.cli import main
-from elmkit.data import save_idx
-from elmkit.imaging import ImageFrame, write_ppm
+from elmkit.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, save_idx
+from elmkit.imaging import write_ppm
 from elmkit.numerics import Rng
 
 TRAIN_SCHEMA_KEYS = {
@@ -60,6 +61,24 @@ def test_train_missing_manifest(blob_manifest, capsys):
                "--out", str(tmp / "m.bin")])
     assert rc == 2
     assert "manifest not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, header, wants",
+    [
+        ("x.idx", struct.pack(">iiii", IDX_IMAGE_MAGIC, *[2**31 - 1] * 3), (2**31 - 1) ** 3),
+        ("x.idx", struct.pack(">iiii", IDX_IMAGE_MAGIC, 1000, 100000, 100000), 10**13),
+        ("y.idx", struct.pack(">ii", IDX_LABEL_MAGIC, 2**31 - 1), 2**31 - 1),
+        ("y.idx", struct.pack(">ii", IDX_LABEL_MAGIC, -1), -1),
+    ],
+    ids=["images-2**31-1-cubed", "images-10**13", "labels-2**31-1", "labels-minus-1"],
+)
+def test_an_idx_header_larger_than_its_file_is_a_usage_error(blob_manifest, capsys, name, header, wants):
+    tmp, manifest, config = blob_manifest
+    (tmp / name).write_bytes(header + bytes(36))
+    assert main(["train", "--config", config, "--data", manifest, "--out", str(tmp / "m.bin")]) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp / name}: expected {wants} bytes" in err and "but 36 are left" in err, err
 
 
 def test_train_same_seed_same_accuracy_and_model_bytes(blob_manifest):
@@ -284,7 +303,7 @@ def test_synth_then_train_then_eval(tmp_path):
 def test_segment_cli(tmp_path, capsys):
     px = np.zeros((60, 60, 3), dtype=np.uint8)
     px[20:35, 25:40] = (230, 20, 15)
-    write_ppm(ImageFrame(px, "rgb8"), tmp_path / "in.ppm")
+    write_ppm(px, tmp_path / "in.ppm")
     rc = main(["segment", "--image", str(tmp_path / "in.ppm"),
                "--out", str(tmp_path / "mask.ppm")])
     assert rc == 0
@@ -297,7 +316,7 @@ def test_segment_cli(tmp_path, capsys):
 def test_segment_cli_rejects_zero_threshold(tmp_path, capsys):
     px = np.zeros((60, 60, 3), dtype=np.uint8)
     px[20:40, 20:40] = (255, 0, 0)
-    write_ppm(ImageFrame(px, "rgb8"), tmp_path / "in.ppm")
+    write_ppm(px, tmp_path / "in.ppm")
     rc = main(["segment", "--image", str(tmp_path / "in.ppm"), "--threshold", "0"])
     assert rc == 2
     assert "threshold" in capsys.readouterr().err

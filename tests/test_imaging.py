@@ -1,8 +1,10 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from scipy import ndimage
 
 import elmkit
 from elmkit import imaging, shapes
+from elmkit.data import save_idx
 from elmkit.imaging import (
-    ImageFrame,
     extract_patch,
     read_ppm,
     rgb_to_hsv,
@@ -27,7 +29,7 @@ from elmkit.shapes import HUE_BAND, ShapePose, synth_shape, synth_shape_dataset
 def solid_square_frame(size=100, top=40, left=40, side=20, color=(255, 0, 0)):
     px = np.zeros((size, size, 3), dtype=np.uint8)
     px[top : top + side, left : left + side] = color
-    return ImageFrame(px, "rgb8")
+    return px
 
 
 def test_frame_path_loads_no_scipy_module(tmp_path):
@@ -55,36 +57,52 @@ print(loaded())
 
 
 def test_hsv_pure_red():
-    frame = ImageFrame(np.full((1, 1, 3), [255, 0, 0], dtype=np.uint8), "rgb8")
-    h, s, v = rgb_to_hsv(frame).pixels[0, 0]
+    h, s, v = rgb_to_hsv(np.full((1, 1, 3), [255, 0, 0], dtype=np.uint8))[0, 0]
     assert (h, s, v) == (0, 255, 255)
 
 
 def test_hsv_pure_green_is_120_degrees():
-    frame = ImageFrame(np.full((1, 1, 3), [0, 255, 0], dtype=np.uint8), "rgb8")
-    h = rgb_to_hsv(frame).pixels[0, 0, 0]
+    h = rgb_to_hsv(np.full((1, 1, 3), [0, 255, 0], dtype=np.uint8))[0, 0, 0]
     assert h == round(120.0 / 360.0 * 255.0)  # 85 under 8-bit hue scaling
 
 
 def test_hsv_gray_has_zero_saturation():
-    frame = ImageFrame(np.full((1, 1, 3), 128, dtype=np.uint8), "rgb8")
-    h, s, v = rgb_to_hsv(frame).pixels[0, 0]
+    h, s, v = rgb_to_hsv(np.full((1, 1, 3), 128, dtype=np.uint8))[0, 0]
     assert s == 0
     assert v == 128  # ~0.502 of full scale
 
 
-def test_hsv_rejects_non_rgb():
-    with pytest.raises(ValueError, match="rgb8"):
-        rgb_to_hsv(ImageFrame(np.zeros((2, 2), dtype=np.uint8), "binary"))
+FRAME_TAKERS = {
+    "segment_object": lambda px, path: segment_object(px, 330.0, 30.0),
+    "rgb_to_hsv": lambda px, path: rgb_to_hsv(px),
+    "write_ppm": write_ppm,
+}
+BAD_FRAMES = {
+    "float": np.zeros((4, 4, 3)),
+    "1-D": np.zeros(12, dtype=np.uint8),
+    "4-D": np.zeros((1, 4, 4, 3), dtype=np.uint8),
+    "4 channels": np.zeros((4, 4, 4), dtype=np.uint8),
+    "empty": np.zeros((0, 4, 3), dtype=np.uint8),
+}
+MASK = np.ones((4, 4), dtype=np.uint8)
+REFUSALS = [
+    *((f"{taker}-{name}", FRAME_TAKERS[taker], px, "(h, w, 3) uint8") for taker in FRAME_TAKERS
+      for name, px in BAD_FRAMES.items()),
+    *((f"{taker}-mask", FRAME_TAKERS[taker], MASK, "(h, w, 3) uint8") for taker in ("segment_object", "rgb_to_hsv")),
+    ("write_ppm-mask-holding-7", write_ppm, np.full((4, 4), 7, dtype=np.uint8), "(h, w) uint8 arrays of 0/1"),
+    ("write_ppm-float-mask", write_ppm, MASK.astype(np.float64), "(h, w) uint8 arrays of 0/1"),
+    ("extract_patch-frame", lambda px, path: extract_patch(px, (1, 1)), np.zeros((4, 4, 3), dtype=np.uint8), "2-D"),
+    ("extract_patch-1-D", lambda px, path: extract_patch(px, (1, 1)), np.ones(16, dtype=np.uint8), "2-D"),
+    ("extract_patch-side-0", lambda px, path: extract_patch(px, (1, 1), side=0), MASK, "side must be >= 1, got 0"),
+]
 
 
-def test_frame_validation():
-    with pytest.raises(ValueError, match="unknown channel"):
-        ImageFrame(np.zeros((2, 2), dtype=np.uint8), "cmyk")
-    with pytest.raises(ValueError, match="uint8"):
-        ImageFrame(np.zeros((2, 2, 3), dtype=np.float64), "rgb8")
-    with pytest.raises(ValueError, match="0/1"):
-        ImageFrame(np.full((2, 2), 7, dtype=np.uint8), "binary")
+@pytest.mark.parametrize("take, px, named", [case[1:] for case in REFUSALS], ids=[case[0] for case in REFUSALS])
+def test_malformed_frames_and_masks_are_refused(tmp_path, take, px, named):
+    path = tmp_path / "out.ppm"
+    with pytest.raises(ValueError, match=re.escape(named)):
+        take(px, path)
+    assert not list(tmp_path.iterdir())
 
 
 def test_ppm_round_trip(tmp_path):
@@ -92,15 +110,18 @@ def test_ppm_round_trip(tmp_path):
     path = tmp_path / "frame.ppm"
     write_ppm(frame, path)
     back = read_ppm(path)
-    np.testing.assert_array_equal(back.pixels, frame.pixels)
+    np.testing.assert_array_equal(back, frame)
+    mask = (frame[..., 1] > 100).astype(np.uint8)  # a mask is written black and white
+    write_ppm(mask, path)
+    np.testing.assert_array_equal(read_ppm(path), np.repeat(mask[:, :, None] * 255, 3, axis=2))
 
 
 def test_ppm_header_with_comment(tmp_path):
     path = tmp_path / "c.ppm"
     path.write_bytes(b"P6\n# a comment\n2 1\n255\n" + bytes([1, 2, 3, 4, 5, 6]))
     frame = read_ppm(path)
-    assert frame.width == 2 and frame.height == 1
-    np.testing.assert_array_equal(frame.pixels[0, 1], [4, 5, 6])
+    assert frame.shape == (1, 2, 3) and frame.dtype == np.uint8
+    np.testing.assert_array_equal(frame[0, 1], [4, 5, 6])
 
 
 def test_ppm_rejects_wrong_format(tmp_path):
@@ -113,7 +134,8 @@ def test_ppm_rejects_wrong_format(tmp_path):
 def test_segment_centered_square():
     frame = solid_square_frame(100, 40, 40, 20)  # center at (49.5, 49.5)
     mask, centroid = segment_object(frame, 330.0, 30.0)
-    assert mask.channels == "binary"
+    assert mask.shape == frame.shape[:2] and mask.dtype == np.uint8
+    assert set(np.unique(mask)) == {0, 1}
     assert abs(centroid[0] - 50) <= 1 and abs(centroid[1] - 50) <= 1
 
 
@@ -127,7 +149,7 @@ def test_segment_keeps_larger_of_two_blobs():
     px = np.zeros((100, 100, 3), dtype=np.uint8)
     px[10:18, 10:18] = (255, 0, 0)  # small blob centered near (13.5, 13.5)
     px[60:90, 60:90] = (255, 0, 0)  # large blob centered near (74.5, 74.5)
-    _, centroid = segment_object(ImageFrame(px, "rgb8"), 330.0, 30.0)
+    _, centroid = segment_object(px, 330.0, 30.0)
     assert abs(centroid[0] - 74) <= 1 and abs(centroid[1] - 74) <= 1
 
 
@@ -142,7 +164,7 @@ def test_segment_threshold_param_respected():
     frame = solid_square_frame()
     mask_default, _ = segment_object(frame, 330.0, 30.0)
     mask_strict, _ = segment_object(frame, 330.0, 30.0, 0.95)
-    assert mask_strict.pixels.sum() <= mask_default.pixels.sum()
+    assert mask_strict.sum() <= mask_default.sum()
 
 
 def test_patch_length_and_binary_values():
@@ -153,7 +175,7 @@ def test_patch_length_and_binary_values():
 
 
 def test_patch_at_corner_is_padded():
-    mask = ImageFrame(np.ones((60, 60), dtype=np.uint8), "binary")
+    mask = np.ones((60, 60), dtype=np.uint8)
     patch = extract_patch(mask, (0, 0), side=52)
     assert patch.shape == (2704,)
     grid = patch.reshape(52, 52)
@@ -162,14 +184,14 @@ def test_patch_at_corner_is_padded():
 
 
 def test_patch_full_frame_object():
-    mask = ImageFrame(np.ones((52, 52), dtype=np.uint8), "binary")
+    mask = np.ones((52, 52), dtype=np.uint8)
     assert extract_patch(mask, (26, 26), side=52).all()
 
 
 def test_patch_known_bitmap():
     px = np.zeros((80, 80), dtype=np.uint8)
     px[30:40, 35:45] = 1
-    patch = extract_patch(ImageFrame(px, "binary"), (34, 39), side=20)
+    patch = extract_patch(px, (34, 39), side=20)
     grid = patch.reshape(20, 20)
     expected = np.zeros((20, 20))
     expected[6:16, 6:16] = 1.0
@@ -177,7 +199,7 @@ def test_patch_known_bitmap():
 
 
 def test_patch_rejects_outside_centroid():
-    mask = ImageFrame(np.ones((10, 10), dtype=np.uint8), "binary")
+    mask = np.ones((10, 10), dtype=np.uint8)
     with pytest.raises(ValueError, match="outside"):
         extract_patch(mask, (10, 3))
 
@@ -194,7 +216,7 @@ def test_synth_same_seed_identical():
     pose = ShapePose(18.0, 0.7, (50, 50))
     a, _ = synth_shape("triangle", pose, 0.4, Rng(8))
     b, _ = synth_shape("triangle", pose, 0.4, Rng(8))
-    assert a.pixels.tobytes() == b.pixels.tobytes()
+    assert a.tobytes() == b.tobytes()
 
 
 def test_synth_rejects_degenerate_pose():
@@ -281,13 +303,13 @@ def test_segment_matches_whole_frame_hsv_reference(monkeypatch):
         monkeypatch.setattr(imaging, "VAL_MIN", floors[1])
         expected = reference_segment(px, *band, *floors)
         try:
-            mask, centroid = segment_object(ImageFrame(px, "rgb8"), *band)
+            mask, centroid = segment_object(px, *band)
         except ValueError as e:
             assert str(e) == expected, (i, band, floors)
             continue
         found += 1
         assert not isinstance(expected, str), (i, band, floors)
-        assert mask.pixels.tobytes() == expected[0].tobytes(), (i, band, floors)
+        assert mask.tobytes() == expected[0].tobytes(), (i, band, floors)
         assert centroid == expected[1], (i, band, floors)
     assert 300 < found < 900  # both outcomes are exercised
 
@@ -408,7 +430,7 @@ def test_hsv_matches_reference_bytes():
     uniform = gen.integers(0, 256, (1 << 19, 3), dtype=np.uint8)
     ties = gen.choice(np.array([0, 1, 38, 39, 127, 128, 254, 255], dtype=np.uint8), (1 << 17, 3))
     px = np.concatenate([uniform, ties])[None]
-    assert rgb_to_hsv(ImageFrame(px, "rgb8")).pixels.tobytes() == reference_hsv(px).tobytes()
+    assert rgb_to_hsv(px).tobytes() == reference_hsv(px).tobytes()
 
 
 def test_patch_digest_is_pinned():
@@ -468,7 +490,7 @@ def test_frames_rendered_side_by_side_equal_the_serial_loop(monkeypatch):
             sys.setswitchinterval(interval)
         assert ds.x.tobytes() == x.tobytes() and ds.x.dtype == x.dtype, cpus
         assert ds.labels.tobytes() == labels.tobytes() and ds.labels.dtype == labels.dtype, cpus
-        assert [f.pixels.tobytes() for f in kept] == [f.pixels.tobytes() for f in samples], cpus
+        assert [f.tobytes() for f in kept] == [f.tobytes() for f in samples], cpus
         assert len(threads) == 120
         if cpus is not None:
             assert len(set(threads)) <= len(cpus), cpus
@@ -504,6 +526,23 @@ def test_first_failing_frame_raises_and_the_rest_are_cancelled(monkeypatch):
     assert threading.active_count() == before
     # two threads render a few frames past the failure; the rest are cancelled
     assert set(range(5)) <= set(rendered) and len(rendered) < 100
+
+
+def test_patches_are_held_once_while_rendered_and_written(tmp_path):
+    # each patch goes into its row of the dataset as its frame is read, and
+    # save_idx quantizes in one float temporary; both peaks count the dataset
+    tracemalloc.start()
+    try:
+        ds, _ = synth_shape_dataset(100, 0.25, Rng(11))
+        rendered = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        save_idx(ds.x, ds.labels, tmp_path / "x.idx", tmp_path / "y.idx", 52, 52)
+        written = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert rendered < 1.75 * ds.x.nbytes, rendered / ds.x.nbytes
+    assert written < 1.5 * ds.x.nbytes, written / ds.x.nbytes
 
 
 def test_importing_elmkit_loads_no_thread_pool():
