@@ -12,9 +12,9 @@ from .elm import ElmModel, elm_predict, elm_train, predict_labels
 from .imaging import extract_patch, read_ppm, rgb_to_hsv, segment_object, write_ppm
 from .metrics import (
     ActiveDecision,
-    ConfusionMatrix,
     accuracy,
     active_classify,
+    confusion_counts,
     per_class_accuracy,
     simulate_streams,
 )

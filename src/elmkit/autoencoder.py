@@ -23,7 +23,6 @@ from .numerics import Rng, as_integer, as_matrix, orthonormal_random, ridge_solv
 class Autoencoder:
     beta: np.ndarray  # n_hidden x n_inputs; encode(x) = f(x @ beta.T)
     reconstruction_error: float  # relative Frobenius error on the training batch
-    beta_orthogonality_gap: float  # max |beta' beta - I|; rounding-level for equal width
 
     @property
     def n_inputs(self) -> int:
@@ -54,17 +53,14 @@ def ae_train(x, n_hidden: int, c: float, rng: Rng) -> Autoencoder:
     n_in = x.shape[1]
     a = orthonormal_random(n_in, n_hidden, rng.split(0))
     if n_hidden == n_in:
-        h = x @ a  # only for the diagnostics below
+        h = x @ a  # only for the reconstruction error below
         beta = np.ascontiguousarray(a.T)
     else:
         h = sigmoid(x @ a + unit_row(n_hidden, rng.split(1)))
         beta = ridge_solve(h, x, c)
     x_norm = np.linalg.norm(x)
     recon_err = float(np.linalg.norm(h @ beta - x) / x_norm) if x_norm > 0 else 0.0
-    g = beta.T @ beta  # max |beta' beta - I| in this one n_in x n_in buffer
-    g.flat[:: n_in + 1] -= 1.0
-    gap = float(np.abs(g, out=g).max())
-    return Autoencoder(beta, recon_err, gap)
+    return Autoencoder(beta, recon_err)
 
 
 def ae_encode(ae: Autoencoder, x) -> np.ndarray:

@@ -19,13 +19,7 @@ import numpy as np
 from .data import LabeledDataset, load_csv, load_idx, save_idx, split_train_test, write_atomic
 from .elm import predict_labels
 from .imaging import read_ppm, segment_object, write_ppm
-from .metrics import (
-    ConfusionMatrix,
-    accuracy,
-    per_class_accuracy,
-    simulate_streams,
-    write_confusion_csv,
-)
+from .metrics import accuracy, confusion_counts, per_class_accuracy, simulate_streams, write_confusion_csv
 from .model_io import load_model, save_model
 from .numerics import NumericalError, Rng
 from .pipeline import PipelineConfig, hml_predict, hml_train
@@ -125,9 +119,9 @@ def cmd_eval(args) -> int:
                          f"{scores.shape[1]} that model {args.model} scores")
     os.makedirs(args.out, exist_ok=True)
     pred = predict_labels(scores)
-    cm = ConfusionMatrix.from_predictions(ds.labels, pred, ds.n_classes, ds.class_names)
+    counts = confusion_counts(ds.labels, pred, ds.n_classes)
     confusion_path = os.path.join(args.out, "confusion.csv")
-    write_confusion_csv(cm, confusion_path)
+    write_confusion_csv(counts, ds.class_names, confusion_path)
     active = None
     if args.threshold is not None:
         episodes = simulate_streams(
@@ -149,8 +143,8 @@ def cmd_eval(args) -> int:
         "model": os.path.abspath(args.model),
         "data": os.path.abspath(args.data),
         "n_samples": ds.n_samples,
-        "overall_accuracy": accuracy(cm),
-        "per_class_accuracy": per_class_accuracy(cm).tolist(),
+        "overall_accuracy": accuracy(counts),
+        "per_class_accuracy": per_class_accuracy(counts).tolist(),
         "inference_seconds_per_frame": seconds_per_frame,
         "confusion_csv": os.path.abspath(confusion_path),
         "active": active,

@@ -135,7 +135,10 @@ def load_csv(path) -> LabeledDataset:
                 rows.append([float(row[i]) for i in feature_cols])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric feature value") from None
-            raw_labels.append(row[label_col].strip())
+            label = row[label_col].strip()
+            if not label:
+                raise ValueError(f"{path}:{lineno}: empty label")
+            raw_labels.append(label)
     if not rows:
         raise ValueError(f"{path} has a header but no data rows")
     names = sorted(set(raw_labels))

@@ -1,4 +1,4 @@
-"""Evaluation: confusion matrices, accuracy, and vote-based stream decisions."""
+"""Evaluation: confusion counts, accuracy, and vote-based stream decisions."""
 
 from __future__ import annotations
 
@@ -10,62 +10,38 @@ from .data import write_atomic
 from .numerics import Rng, as_matrix
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    counts: np.ndarray  # rows = truth, cols = predicted
-    class_names: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64)
-        if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] < 1:
-            raise ValueError("counts must be a square matrix")
-        if np.any(c < 0):
-            raise ValueError("counts must be nonnegative")
-        if self.class_names is not None and len(self.class_names) != c.shape[0]:
-            raise ValueError("one class name per row required")
-        object.__setattr__(self, "counts", c)
-
-    @classmethod
-    def from_predictions(cls, truth, predicted, n_classes: int, class_names=None):
-        truth = np.asarray(truth, dtype=np.int64).ravel()
-        predicted = np.asarray(predicted, dtype=np.int64).ravel()
-        if truth.size != predicted.size:
-            raise ValueError("truth and predicted must align")
-        counts = np.zeros((n_classes, n_classes), dtype=np.int64)
-        np.add.at(counts, (truth, predicted), 1)
-        return cls(counts, tuple(class_names) if class_names else None)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def n_classes(self) -> int:
-        return self.counts.shape[0]
+def confusion_counts(truth, predicted, n_classes: int) -> np.ndarray:
+    """Square int64 counts of (true, predicted) class pairs: rows are truth, columns predictions."""
+    truth = np.asarray(truth, dtype=np.int64).ravel()
+    predicted = np.asarray(predicted, dtype=np.int64).ravel()
+    if truth.size != predicted.size:
+        raise ValueError("truth and predicted must align")
+    counts = np.zeros((n_classes, n_classes), dtype=np.int64)
+    np.add.at(counts, (truth, predicted), 1)
+    return counts
 
 
-def accuracy(cm: ConfusionMatrix) -> float:
+def accuracy(counts: np.ndarray) -> float:
     """Overall accuracy: trace over total."""
-    if cm.total == 0:
+    if counts.sum() == 0:
         raise ValueError("empty confusion matrix")
-    return float(np.trace(cm.counts) / cm.total)
+    return float(np.trace(counts) / counts.sum())
 
 
-def per_class_accuracy(cm: ConfusionMatrix) -> np.ndarray:
+def per_class_accuracy(counts: np.ndarray) -> np.ndarray:
     """One-vs-rest (TP + TN) / total for each class."""
-    if cm.total == 0:
+    total = counts.sum()
+    if total == 0:
         raise ValueError("empty confusion matrix")
-    total = cm.total
-    tp = np.diag(cm.counts).astype(np.float64)
-    fp = cm.counts.sum(axis=0) - tp
-    fn = cm.counts.sum(axis=1) - tp
+    tp = np.diag(counts).astype(np.float64)
+    fp = counts.sum(axis=0) - tp
+    fn = counts.sum(axis=1) - tp
     tn = total - tp - fp - fn
     return (tp + tn) / total
 
 
-def write_confusion_csv(cm: ConfusionMatrix, path) -> None:
-    names = cm.class_names or tuple(str(i) for i in range(cm.n_classes))
-    lines = [",".join(names)] + [",".join(str(int(v)) for v in row) for row in cm.counts]
+def write_confusion_csv(counts: np.ndarray, class_names, path) -> None:
+    lines = [",".join(class_names)] + [",".join(str(int(v)) for v in row) for row in counts]
     write_atomic(path, [(line + "\n").encode() for line in lines])
 
 

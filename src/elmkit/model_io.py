@@ -20,16 +20,13 @@ from .data import write_atomic
 from .pipeline import HEADS, FeatureScaler, HmlModel, PipelineConfig, TrainMetrics
 
 MAGIC = b"ELMKITM\x01"
-FORMAT_VERSION = 2
-# the per-layer header fields, in Autoencoder constructor order after beta
-LAYER_FIELDS = ("reconstruction_error", "beta_orthogonality_gap")
+FORMAT_VERSION = 3
 
 
 def _contents(model: HmlModel) -> tuple[bytes, list]:
     """The header bytes ``save_model`` writes for ``model``, and the arrays that follow them, in order."""
     kind = HEADS[model.config.head]
-    head_meta, head_arrays = kind.store(model.head)
-    arrays = dict(zip(kind.arrays, head_arrays))
+    arrays = dict(zip(kind.arrays, kind.store(model.head)))
     arrays["scaler.offset"] = model.scaler.offset
     arrays["scaler.span"] = model.scaler.span
     for i, ae in enumerate(model.stack):
@@ -39,8 +36,7 @@ def _contents(model: HmlModel) -> tuple[bytes, list]:
         "format_version": FORMAT_VERSION,
         "config": model.config.to_dict(),
         "train_accuracy": model.metrics.train_accuracy,
-        "head": head_meta,
-        "stack_layers": [{k: getattr(ae, k) for k in LAYER_FIELDS} for ae in model.stack],
+        "stack_layers": [{"reconstruction_error": ae.reconstruction_error} for ae in model.stack],
         "arrays": [{"name": name, "shape": list(np.shape(arrays[name]))} for name in names],
     }
     return json.dumps(header, sort_keys=True, separators=(",", ":")).encode(), [arrays[name] for name in names]
@@ -111,28 +107,35 @@ def load_model(path) -> HmlModel:
         if header["format_version"] != FORMAT_VERSION:
             raise ValueError(f"unsupported model format version {header['format_version']}")
         arrays = _read_arrays(header["arrays"], memoryview(data)[header_end:])
+        offset, span = arrays["scaler.offset"], arrays["scaler.span"]
+        if offset.ndim != 1 or span.shape != offset.shape:
+            raise ValueError(f"scaler arrays have shapes {offset.shape} and {span.shape}, not one length")
         # the scaler's span divides; FeatureScaler.fit writes only positive spans
-        if not np.all(arrays["scaler.span"] > 0):
+        if not np.all(span > 0):
             raise ValueError("array scaler.span has entries that are not positive")
-        scaler = FeatureScaler(arrays["scaler.offset"], arrays["scaler.span"])
         # the arrays give the head type, its size and the layer widths, so the comparison ties the header's to them
         head_type = next((h for h, k in HEADS.items() if set(k.arrays) <= arrays.keys()), None)
         if head_type is None:
             raise ValueError(f"no head's arrays among {sorted(arrays)}")
         kind = HEADS[head_type]
-        head = kind.rebuild(header["head"], *(arrays[name] for name in kind.arrays))
+        head = kind.rebuild(*(arrays[name] for name in kind.arrays))
+        last = arrays[kind.arrays[-1]]
+        if last.ndim != 2:
+            raise ValueError(f"array {kind.arrays[-1]} has shape {last.shape}, not one column per class")
         betas = [arrays[f"stack.{i}.beta"] for i in range(len(header["stack_layers"]))]
         stored = {**header["config"], "head": head_type, "layer_sizes": [beta.shape[0] for beta in betas]}
         config = PipelineConfig.from_dict({**stored, "head_size": kind.size(head, stored.get("head_size"))})
-        layers = []
+        layers, width = [], offset.size
         for i, (beta, meta) in enumerate(zip(betas, header["stack_layers"])):
-            if beta.ndim != 2:
-                raise ValueError(f"layer {i} weights have shape {beta.shape}, not two dimensions")
-            fields = (_number(meta[k], f"stack_layers[{i}].{k}") for k in LAYER_FIELDS)
-            layers.append(Autoencoder(beta, *fields))
-        n_classes = arrays[kind.arrays[-1]].shape[1]  # an IndexError if that array is not 2-D
+            if beta.ndim != 2 or beta.shape[1] != width:
+                raise ValueError(f"layer {i} weights have shape {beta.shape}, not a matrix of {width} columns")
+            width = beta.shape[0]
+            error = _number(meta["reconstruction_error"], f"stack_layers[{i}].reconstruction_error")
+            layers.append(Autoencoder(beta, error))
+        if kind.n_inputs(head) != width:
+            raise ValueError(f"the {head_type} head scores {kind.n_inputs(head)} features, but {width} reach it")
         metrics = TrainMetrics(0.0, 0.0, _number(header["train_accuracy"], "train_accuracy", 1.0))
-        model = HmlModel(scaler, tuple(layers), head, config, n_classes, metrics)
+        model = HmlModel(FeatureScaler(offset, span), tuple(layers), head, config, metrics)
         written = _contents(model)[0]
         if written != blob:
             was, wants = _leaves(header), _leaves(json.loads(written))

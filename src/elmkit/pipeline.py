@@ -118,7 +118,6 @@ class HmlModel:
     stack: tuple[Autoencoder, ...]
     head: object  # what HEADS[config.head].fit returns
     config: PipelineConfig
-    n_classes: int
     metrics: TrainMetrics
 
     @property
@@ -132,9 +131,10 @@ class HeadKind(NamedTuple):
     fit: Callable  # (features, one-hot t, head_size, c, rng) -> (head, its scores on the features)
     predict: Callable  # (head, features) -> scores
     arrays: tuple[str, ...]  # the array names a model file holds for it; the last has a column per class
-    store: Callable  # head -> (header metadata, its arrays in that order)
-    rebuild: Callable  # (header metadata, *arrays) -> head
+    store: Callable  # head -> its arrays in that order
+    rebuild: Callable  # (*arrays) -> head
     size: Callable  # (head, the header's head_size) -> the config's head_size
+    n_inputs: Callable  # head -> the feature width it scores
 
 
 def _ridge_train(feats, t, head_size, c, rng):
@@ -151,25 +151,28 @@ HEADS = {
         lambda feats, t, size, c, rng: sit2_train(feats, t, size, rng, c=c),
         lambda head, feats: sit2_predict(head, feats),
         ("head.centers", "head.sigma_lower", "head.sigma_upper", "head.consequents"),
-        lambda h: ({"stage": h.stage}, (h.rules.centers, h.rules.sigma_lower, h.rules.sigma_upper, h.consequents)),
-        lambda meta, centers, lower, upper, q: Sit2Model(It2RuleBase(centers, lower, upper), q, meta["stage"]),
+        lambda h: (h.rules.centers, h.rules.sigma_lower, h.rules.sigma_upper, h.consequents),
+        lambda centers, lower, upper, q: Sit2Model(It2RuleBase(centers, lower, upper), q),
         lambda head, size: head.n_rules,
+        lambda head: head.rules.n_inputs,
     ),
     "ridge": HeadKind(
         _ridge_train,
         lambda weights, feats: np.hstack([feats, np.ones((feats.shape[0], 1))]) @ weights,
         ("head.weights",),
-        lambda weights: ({}, (weights,)),
-        lambda meta, weights: weights,
+        lambda weights: (weights,),
+        lambda weights: weights,
         lambda weights, size: size,  # ridge has no size, so the header's stands
+        lambda weights: weights.shape[0] - 1,  # one row per feature, then the bias row
     ),
     "elm": HeadKind(
         lambda feats, t, size, c, rng: elm_train(feats, t, size, c, rng),
         lambda head, feats: elm_predict(head, feats),
         ("head.input_weights", "head.biases", "head.output_weights"),
-        lambda head: ({}, (head.input_weights, head.biases, head.output_weights)),
-        lambda meta, *arrays: ElmModel(*arrays),
+        lambda head: (head.input_weights, head.biases, head.output_weights),
+        ElmModel,
         lambda head, size: head.input_weights.shape[1],
+        lambda head: head.input_weights.shape[0],
     ),
 }
 
@@ -200,7 +203,7 @@ def hml_train(x, labels, config: PipelineConfig) -> HmlModel:
     t2 = time.perf_counter()
     accuracy = float((predict_labels(scores) == labels).mean())
     metrics = TrainMetrics(t1 - t0, t2 - t1, accuracy)
-    return HmlModel(scaler, stack, head, config, n_classes, metrics)
+    return HmlModel(scaler, stack, head, config, metrics)
 
 
 def hml_predict(model: HmlModel, x) -> np.ndarray:

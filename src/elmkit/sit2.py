@@ -18,9 +18,6 @@ import numpy as np
 from .numerics import NumericalError, Rng, as_matrix, ridge_solve, _solve_spd
 from .type_reduction import It2RuleBase, ekm_reduce, firing_batch, sc_reduce_batch
 
-STAGE_INITIALIZED = "initialized"
-STAGE_REFINED = "refined"
-
 WIDTH_SCALE = (0.5, 1.5)  # upper widths, as multiples of the scaled half feature range
 WIDTH_RATIO = (0.6, 0.95)  # lower width over upper width; (1, 1) collapses the model to type-1
 
@@ -29,11 +26,12 @@ WIDTH_RATIO = (0.6, 0.95)  # lower width over upper width; (1, 1) collapses the 
 class Sit2Model:
     rules: It2RuleBase
     consequents: np.ndarray  # ((n_inputs + 1) * n_rules) x n_outputs
-    stage: str
 
     def __post_init__(self):
-        if self.stage not in (STAGE_INITIALIZED, STAGE_REFINED):
-            raise ValueError(f"unknown sit2 head stage {self.stage!r}")
+        q, rules = self.consequents, self.rules
+        if q.ndim != 2 or q.shape[0] != rules.n_rules * (rules.n_inputs + 1):
+            raise ValueError(f"sit2 consequents {q.shape} do not chain with "
+                             f"{rules.n_rules} rules on {rules.n_inputs} inputs")
 
     @property
     def n_rules(self) -> int:
@@ -160,8 +158,7 @@ def sit2_train(
             phi = _refinement_weights(lower, upper, z_l, z_r)
             q[:, i] = _product_ridge(phi, xb, t[:, i : i + 1], c, buf)[:, 0]
     del buf  # the score sweeps need none of the p x p buffer
-    model = Sit2Model(rules, q, STAGE_REFINED if refine else STAGE_INITIALIZED)
-    return model, _scores(sc_reduce_batch, lower, upper, xb, q, n_rules)
+    return Sit2Model(rules, q), _scores(sc_reduce_batch, lower, upper, xb, q, n_rules)
 
 
 def _scores(reduce, lower, upper, xb, consequents, n_rules):

@@ -436,3 +436,18 @@ def test_malformed_manifest_is_usage_error(blob_manifest, manifest, named, capsy
     assert main(["eval", "--model", model, "--data", str(bad), "--out", str(tmp / "eval")]) == 2
     err = capsys.readouterr().err
     assert str(bad) in err and named in err, err
+
+
+def test_csv_row_with_an_empty_label_is_usage_error(blob_manifest, capsys):
+    tmp, good, config = blob_manifest
+    (tmp / "rows.csv").write_text("a,b,label\n0.1,0.2,x\n0.3,0.4,\n0.5,0.6,y\n")
+    bad = tmp / "csv_manifest.json"
+    bad.write_text(json.dumps({"type": "csv", "path": "rows.csv"}))
+    model = str(tmp / "model.bin")
+    assert main(["train", "--config", config, "--data", str(bad), "--out", model]) == 2
+    assert f"{tmp / 'rows.csv'}:3: empty label" in capsys.readouterr().err
+    assert main(["train", "--config", config, "--data", good, "--out", model]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--model", model, "--data", str(bad), "--out", str(tmp / "eval")]) == 2
+    assert f"{tmp / 'rows.csv'}:3: empty label" in capsys.readouterr().err
+    assert not (tmp / "eval").exists()

@@ -1,4 +1,5 @@
 import os
+import re
 import stat
 
 import numpy as np
@@ -94,6 +95,15 @@ def test_csv_rejects_non_numeric_features(tmp_path):
     p = tmp_path / "data.csv"
     p.write_text("a,label\nx,0\n")
     with pytest.raises(ValueError, match="non-numeric"):
+        load_csv(p)
+
+
+@pytest.mark.parametrize("label", ["", "  "])
+def test_csv_rejects_an_empty_label(tmp_path, label):
+    # it would otherwise train and score a class named ""
+    p = tmp_path / "data.csv"
+    p.write_text(f"a,label\n1.0,cat\n2.0,{label}\n3.0,dog\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:3: empty label$"):
         load_csv(p)
 
 

@@ -4,9 +4,13 @@ import itertools
 import json
 import math
 import operator
+import os
 import pathlib
+import platform
 import re
 import struct
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -14,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import elmkit
 from elmkit.cli import main
 from elmkit.model_io import MAGIC, load_model, save_model
 from elmkit.numerics import Rng
@@ -46,7 +51,6 @@ def test_round_trip_preserves_predictions(tmp_path, layers, head, head_size):
     back = load_model(path)
     np.testing.assert_array_equal(hml_predict(model, x), hml_predict(back, x))
     assert back.config == model.config
-    assert back.n_classes == model.n_classes
     assert back.metrics.train_accuracy == model.metrics.train_accuracy
 
 
@@ -81,7 +85,7 @@ def test_rejects_wrong_version(tmp_path):
     save_model(hml_train(x, labels, cfg), path)
     raw = bytearray(path.read_bytes())
     # bump the version digit inside the JSON header
-    idx = raw.find(b'"format_version":2')
+    idx = raw.find(b'"format_version":3')
     raw[idx + len(b'"format_version":') : idx + len(b'"format_version":') + 1] = b"9"
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="unsupported model format"):
@@ -163,15 +167,35 @@ def _set_layer(i, key, value):
     return _edit_header(lambda header: header["stack_layers"][i].__setitem__(key, value))
 
 
-def _elm_vector_input_weights(raw):
-    """Bytes of a one-node elm model whose input weights are stored as a vector: the same payload, not a matrix."""
-    with tempfile.TemporaryDirectory() as d:
-        path = pathlib.Path(d) / "model.bin"
-        save_model(hml_train(*blob_data(10), PipelineConfig((3,), (10.0, 1e4), head="elm", head_size=1)), path)
-        raw = path.read_bytes()
-    return _edit_sections(
-        lambda sections: next(s for s in sections if s["name"] == "head.input_weights").__setitem__("shape", [3])
-    )(raw)
+def _on_model(config, corrupt):
+    """Corruption that applies ``corrupt`` to the file of a model trained with ``config`` on the manifest's rows."""
+
+    def other(raw):
+        with tempfile.TemporaryDirectory() as d:
+            path = pathlib.Path(d) / "model.bin"
+            save_model(hml_train(*blob_data(10), config), path)
+            return corrupt(path.read_bytes())
+
+    return other
+
+
+def _set_shape(name, shape):
+    """Corruption that gives array ``name`` another shape of the same size: the same payload."""
+    return _edit_sections(lambda sections: next(s for s in sections if s["name"] == name).__setitem__("shape", shape))
+
+
+def _replace_array(name, edit):
+    """Corruption that replaces array ``name`` by ``edit(array)``, in the section table and in the payload."""
+
+    def corrupt(raw):
+        header, payload = split_file(raw)
+        section = next(s for s in header["arrays"] if s["name"] == name)
+        start, stop = byte_span(header["arrays"], name)
+        array = edit(np.frombuffer(payload[start:stop], dtype="<f8").reshape(section["shape"]))
+        section["shape"] = list(array.shape)
+        return join_file(header, payload[:start] + array.astype("<f8").tobytes() + payload[stop:])
+
+    return corrupt
 
 
 def _bad_header(blob: bytes):
@@ -207,21 +231,33 @@ CORRUPTIONS = {
     "compressed-layer-called-equal": _edit_header(
         lambda header: header["stack_layers"][1].update(mode="equal", activation="linear")
     ),
-    "one-dimensional-layer-weights": _edit_sections(
-        lambda sections: next(s for s in sections if s["name"] == "stack.1.beta").__setitem__("shape", [12])
-    ),
+    "one-dimensional-layer-weights": _set_shape("stack.1.beta", [12]),
     "compressed-layer-tanh": _set_layer(1, "activation", "tanh"),
     "compressed-layer-linear": _set_layer(1, "activation", "linear"),
     "equal-layer-sigmoid": _set_layer(0, "activation", "sigmoid"),
-    "elm-input-weights-not-a-matrix": _elm_vector_input_weights,
-    "unknown-head-stage": _edit_header(lambda header: header["head"].__setitem__("stage", "bogus")),
+    # a one-node elm model whose input weights are stored as a vector
+    "elm-input-weights-not-a-matrix": _on_model(PipelineConfig((3,), (10.0, 1e4), head="elm", head_size=1),
+                                                _set_shape("head.input_weights", [3])),
+    "ridge-weights-not-a-matrix": _on_model(PipelineConfig((3,), (10.0, 1e4), head="ridge"),
+                                            _set_shape("head.weights", [12])),
+    # arrays whose widths do not chain: each loaded, and eval then blamed the data or failed in numpy
+    "extra-scaler-column": lambda raw: _replace_array("scaler.span", lambda a: np.append(a, 1.0))(
+        _replace_array("scaler.offset", lambda a: np.append(a, 0.0))(raw)),
+    "wider-first-layer-input": _replace_array("stack.0.beta", lambda a: np.hstack([a, a[:, :1]])),
+    "extra-sit2-consequent-rows": _replace_array("head.consequents", lambda a: np.vstack([a, a[:1]])),
+    "extra-ridge-weight-row": _on_model(PipelineConfig((3,), (10.0, 1e4), head="ridge"),
+                                        _replace_array("head.weights", lambda a: np.vstack([a, a[:1]]))),
+    # format 2 wrote a sit2 head's stage, which no code read
+    "unknown-head-stage": _edit_header(lambda header: header.__setitem__("head", {"stage": "bogus"})),
     # the saved_model head scores 3 classes; format 1 wrote that count, which the head's arrays give now
     "n-classes-not-head-width": _edit_header(lambda header: header.__setitem__("n_classes", 7)),
     # True == 1, but never the version save_model writes
     "boolean-format-version": _edit_header(lambda header: header.__setitem__("format_version", True)),
-    # the header floats no score reads: layer diagnostics are finite and not negative, train_accuracy is in [0, 1]
+    # the header floats no score reads: a layer's reconstruction error is finite and not negative,
+    # train_accuracy is in [0, 1]
     "layer-error-nan": _set_layer(0, "reconstruction_error", math.nan),
     "layer-error-negative": _set_layer(1, "reconstruction_error", -0.5),
+    # format 2 wrote each layer's orthogonality gap, which no code read
     "layer-gap-infinite": _set_layer(1, "beta_orthogonality_gap", math.inf),
     "layer-gap-negative": _set_layer(0, "beta_orthogonality_gap", -1e-17),
     "train-accuracy-above-one": _edit_header(lambda header: header.__setitem__("train_accuracy", 1.5)),
@@ -259,7 +295,7 @@ def eval_args(path):
 def test_intact_file_loads_and_evaluates(saved_model):
     raw = saved_model.read_bytes()
     assert join_file(*split_file(raw)) == raw  # the helpers rebuild the writer's bytes
-    assert load_model(saved_model).n_classes == 3
+    assert load_model(saved_model).head.consequents.shape[1] == 3
     assert main(eval_args(saved_model)) == 0
 
 
@@ -272,13 +308,13 @@ def test_corrupt_file_is_a_value_error_and_eval_exits_2(saved_model, name, capsy
     assert str(saved_model) in capsys.readouterr().err
 
 
-# format 1 wrote the elm head's activation, which is always the sigmoid; format 2 writes no elm head metadata
+# format 1 wrote the elm head's activation, which is always the sigmoid; format 3 writes no head object
 @pytest.mark.parametrize("activation", ["tanh", "linear"])
 def test_elm_head_with_another_activation_is_refused(tmp_path, activation, capsys):
     path = save_with_manifest(tmp_path, PipelineConfig((), (1e4,), head="elm", head_size=5, seed=0))
     header, payload = split_file(path.read_bytes())
-    assert header["head"] == {}
-    header["head"]["activation"] = activation
+    assert "head" not in header
+    header["head"] = {"activation": activation}
     path.write_bytes(join_file(header, payload))
     message = f'header field head.activation is "{activation}", but save_model writes absent'
     with pytest.raises(ValueError, match=message) as info:
@@ -340,11 +376,16 @@ def test_truncated_file_is_a_value_error(saved_model):
         # the file's fields are compared in its key order, so the layer's activation differs first
         ("compressed-layer-called-equal",
          r'header field stack_layers\[1\]\.activation is "linear", but save_model writes absent'),
-        ("one-dimensional-layer-weights", r"layer 1 weights have shape \(12,\), not two dimensions"),
+        ("one-dimensional-layer-weights", r"layer 1 weights have shape \(12,\), not a matrix of 4 columns"),
         ("compressed-layer-tanh", r'header field stack_layers\[1\]\.activation is "tanh", but save_model writes absent'),
         ("equal-layer-sigmoid", r'header field stack_layers\[0\]\.activation is "sigmoid", but save_model writes absent'),
-        ("unknown-head-stage", "unknown sit2 head stage 'bogus'"),
+        ("unknown-head-stage", 'header field head.stage is "bogus", but save_model writes absent'),
         ("elm-input-weights-not-a-matrix", r"elm weights \(3,\), biases \(1,\) and output weights \(1, 3\) do not chain"),
+        ("ridge-weights-not-a-matrix", r"array head.weights has shape \(12,\), not one column per class"),
+        ("extra-scaler-column", r"layer 0 weights have shape \(4, 4\), not a matrix of 5 columns"),
+        ("wider-first-layer-input", r"layer 0 weights have shape \(4, 5\), not a matrix of 4 columns"),
+        ("extra-sit2-consequent-rows", r"sit2 consequents \(17, 3\) do not chain with 4 rules on 3 inputs"),
+        ("extra-ridge-weight-row", "the ridge head scores 4 features, but 3 reach it"),
         ("n-classes-not-head-width", "header field n_classes is 7, but save_model writes absent"),
         ("overlapping-offset", r"header field arrays\[1\]\.offset is 0, but save_model writes absent"),
         ("nbytes-not-shape", r"header field arrays\[0\]\.nbytes is \d+, but save_model writes absent"),
@@ -378,7 +419,7 @@ MUTATED_MODELS = {
     "ridge": PipelineConfig((5,), (10.0, 1e4), head="ridge", seed=0),
 }
 # the header floats the loader reads as numbers: a refused mutation of one names the field and its value
-FLOAT_FIELDS = ("reconstruction_error", "beta_orthogonality_gap", "train_accuracy")
+FLOAT_FIELDS = ("reconstruction_error", "train_accuracy")
 
 
 def test_mutated_models_cover_every_head():
@@ -401,10 +442,11 @@ def field_name(path):
 
 
 def with_leaf(header, path, value):
-    """A copy of ``header`` with the leaf at ``path`` set to ``value``, or deleted for DELETE."""
+    """A copy of ``header`` with the leaf at ``path`` set to ``value``, or deleted for DELETE; missing objects are added."""
     header = copy.deepcopy(header)
     *parents, last = path
-    node = functools.reduce(operator.getitem, parents, header)
+    node = functools.reduce(lambda node, key: node.setdefault(key, {}) if isinstance(node, dict) else node[key],
+                            parents, header)
     if value is DELETE:
         del node[last]
     else:
@@ -443,10 +485,20 @@ def test_each_header_leaf_mutation_is_refused_or_scores_as_the_intact_file(tmp_p
             assert hml_predict(model, x).tobytes() == intact, (leaf, value)
 
 
-def format_1_header(header, model):
-    """The header format version 1 wrote for ``model``, whose version-2 header is ``header``."""
+def format_2_header(header, model):
+    """The header format version 2 wrote for ``model``, whose version-3 header is ``header``."""
     old = copy.deepcopy(header)
-    old.update(format_version=1, kind="hml", n_classes=model.n_classes)
+    old.update(format_version=2, head={"stage": "refined"} if model.config.head == "sit2" else {})
+    for layer, ae in zip(old["stack_layers"], model.stack):
+        layer["beta_orthogonality_gap"] = float(np.abs(ae.beta.T @ ae.beta - np.eye(ae.n_inputs)).max())
+    return old
+
+
+def format_1_header(header, model):
+    """The header format version 1 wrote for ``model``, whose version-3 header is ``header``."""
+    old = format_2_header(header, model)
+    n_classes = HEADS[model.config.head].store(model.head)[-1].shape[1]
+    old.update(format_version=1, kind="hml", n_classes=n_classes)
     old["head"]["type"] = model.config.head
     if model.config.head == "elm":
         old["head"]["activation"] = "sigmoid"
@@ -464,21 +516,46 @@ def test_a_format_1_file_is_refused_by_its_version(saved_model, capsys):
     assert_refused(saved_model, "unsupported model format version 1$", capsys)
 
 
-@pytest.mark.parametrize("head", sorted(MUTATED_MODELS))
-def test_each_field_format_1_wrote_and_format_2_derives_is_refused_by_name(tmp_path, head, capsys):
-    path = save_with_manifest(tmp_path, MUTATED_MODELS[head])
+def test_a_format_2_file_is_refused_by_its_version(saved_model, capsys):
+    header, payload = split_file(saved_model.read_bytes())
+    saved_model.write_bytes(join_file(format_2_header(header, load_model(saved_model)), payload))
+    assert_refused(saved_model, "unsupported model format version 2$", capsys)
+
+
+def assert_each_dropped_field_is_refused_by_name(path, old, newer, capsys):
+    """Each leaf of header ``old`` that header ``newer`` lacks, put into the file's own header, is refused by name."""
     header, payload = split_file(path.read_bytes())
-    old = format_1_header(header, load_model(path))
-    written = leaf_paths(header)
-    dropped = [leaf for leaf in leaf_paths(old) if leaf not in written]
-    # the head's type and class count, a layer's kind and c, each array's place in the payload, and the elm
-    # head's activation: each is given by the config or the arrays, or is a constant of the code
-    assert {leaf[-1] for leaf in dropped} == {"kind", "n_classes", "type", "mode", "activation", "c", "offset", "nbytes"}
+    dropped = [leaf for leaf in leaf_paths(old) if leaf not in leaf_paths(newer)]
     for leaf in dropped:
         value = functools.reduce(operator.getitem, leaf, old)
         path.write_bytes(join_file(with_leaf(header, leaf, value), payload))
         message = f"header field {field_name(leaf)} is {json.dumps(value)}, but save_model writes absent"
         assert_refused(path, re.escape(message), capsys)
+    return {leaf[-1] for leaf in dropped}
+
+
+@pytest.mark.parametrize("head", sorted(MUTATED_MODELS))
+def test_each_field_format_1_wrote_and_format_2_derives_is_refused_by_name(tmp_path, head, capsys):
+    path = save_with_manifest(tmp_path, MUTATED_MODELS[head])
+    header, model = split_file(path.read_bytes())[0], load_model(path)
+    dropped = assert_each_dropped_field_is_refused_by_name(
+        path, format_1_header(header, model), format_2_header(header, model), capsys
+    )
+    # the head's type and class count, a layer's kind and c, each array's place in the payload, and the elm
+    # head's activation: each is given by the config or the arrays, or is a constant of the code
+    assert dropped == {"kind", "n_classes", "type", "mode", "activation", "c", "offset", "nbytes"}
+
+
+@pytest.mark.parametrize("head", sorted(MUTATED_MODELS))
+def test_each_field_format_2_wrote_and_format_3_drops_is_refused_by_name(tmp_path, head, capsys):
+    path = save_with_manifest(tmp_path, MUTATED_MODELS[head])
+    header = split_file(path.read_bytes())[0]
+    dropped = assert_each_dropped_field_is_refused_by_name(
+        path, format_2_header(header, load_model(path)), header, capsys
+    )
+    # a sit2 head's stage, an empty head object for the other heads, and each layer's orthogonality gap:
+    # no code decides on any of them
+    assert dropped == {"stage" if head == "sit2" else "head", "beta_orthogonality_gap"}
 
 
 def with_first_entry(raw, name, value):
@@ -540,3 +617,71 @@ def test_mutated_or_truncated_file_loads_or_is_a_value_error(fuzz_model, data):
     except ValueError:
         return
     assert scores.shape == (x.shape[0], 3)
+
+
+# Model bytes follow the BLAS kernels and numpy's own vector loops, so the digests below hold for one software
+# stack, run on OpenBLAS's Haswell kernels on one thread and on numpy's loops for x86-64-v3 (AVX2): both run
+# alike on any x86-64 host with AVX2, whatever wider instructions it also has.  A change that keeps model bytes
+# passes this test unedited; a change that alters them on purpose re-pins and says so.
+PIN_STACK = {"numpy": "2.4.6", "numpy's OpenBLAS": "0.3.31.188.0 DYNAMIC_ARCH", "scipy's OpenBLAS": "0.3.30 DYNAMIC_ARCH"}
+PIN_ENV = {"OPENBLAS_NUM_THREADS": "1", "OPENBLAS_CORETYPE": "Haswell",
+           "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+# per head: the SHA-256 of the saved model file and of its reloaded copy's scores on the held-out rows
+PINNED_DIGESTS = {
+    "sit2": ("3994b1749866e5753292b6fa969a656842f0b1153295b4635ee1eb7c3695328d",
+             "c1e2fc00bb2ded47b92e6d00fdfbb6984219473b6d1993898a1ad38c457848d5"),
+    "ridge": ("fc587b7a0068ac0fffa8dbe1b034b0a6ac5a9d84c29084d0f07d7602b2588579",
+              "250aa1f9c591719a8e3bb16425d07745ed10949816849c5e9cbaf3aa4004b0d3"),
+    "elm": ("229ee69eb393c9936ebfdd5274d8607670f85fe673b204225959e5f9f57f53b8",
+            "23fac9d03de9162412f0eeb9589851fd382ed55ba5f8e429cbf745e3ca72e724"),
+}
+
+# trains one model per head on 1000 digits-proxy rows, (64, 64) layers and 20 rules or nodes, scores 200 more
+_TRAIN_SAVE_AND_DIGEST = """
+import hashlib, importlib.util, json, pathlib, sys
+from elmkit.model_io import load_model, save_model
+from elmkit.pipeline import PipelineConfig, hml_predict, hml_train
+
+spec = importlib.util.spec_from_file_location("digits_proxy", sys.argv[1])
+digits_proxy = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(digits_proxy)
+x, labels = digits_proxy.make_rows(1200, (7, 0))
+digests = {}
+for head in ("sit2", "ridge", "elm"):
+    path = pathlib.Path(sys.argv[2]) / f"{head}.bin"
+    config = PipelineConfig((64, 64), (1e-1, 1e4, 1e8), head=head, head_size=20, seed=1)
+    save_model(hml_train(x[:1000], labels[:1000], config), path)
+    scores = hml_predict(load_model(path), x[1000:])
+    digests[head] = [hashlib.sha256(path.read_bytes()).hexdigest(), hashlib.sha256(scores.tobytes()).hexdigest()]
+print(json.dumps(digests))
+"""
+
+
+def _openblas(module):
+    """The OpenBLAS version ``module`` was built with, marked if that build picks its kernels at run time."""
+    try:
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a version with no such report, or a build with no BLAS entry
+        return "unknown"
+    dynamic = "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+    return blas.get("version", "unknown") + (" DYNAMIC_ARCH" if dynamic else "")
+
+
+def test_model_and_score_bytes_are_pinned(tmp_path):
+    import scipy
+
+    if np.__version__ != PIN_STACK["numpy"]:
+        pytest.skip(f"the digests are pinned for numpy {PIN_STACK['numpy']}, and this is numpy {np.__version__}")
+    stack = {"numpy": np.__version__, "numpy's OpenBLAS": _openblas(np), "scipy's OpenBLAS": _openblas(scipy)}
+    if stack != PIN_STACK:
+        pytest.skip(f"the digests are pinned for {PIN_STACK}, and this is {stack}")
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    if platform.machine().lower() not in ("x86_64", "amd64") or not __cpu_features__.get("X86_V3"):
+        pytest.skip(f"Haswell kernels need an x86-64 host with AVX2, and this is {platform.machine()} without them")
+    src = os.path.dirname(os.path.dirname(elmkit.__file__))
+    env = dict(os.environ, **PIN_ENV, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proxy = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "digits_proxy.py"
+    run = subprocess.run([sys.executable, "-c", _TRAIN_SAVE_AND_DIGEST, str(proxy), str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert {head: tuple(pair) for head, pair in json.loads(run.stdout).items()} == PINNED_DIGESTS

@@ -11,8 +11,6 @@ from elmkit import pipeline, sit2
 from elmkit.numerics import Rng, _solve_spd
 from elmkit.pipeline import PipelineConfig, hml_train
 from elmkit.sit2 import (
-    STAGE_INITIALIZED,
-    STAGE_REFINED,
     Sit2Model,
     _input_gram,
     _product_ridge,
@@ -36,7 +34,6 @@ def two_blobs(n_per_class=40, seed=60):
 def test_separable_blobs_high_training_accuracy():
     x, t, labels = two_blobs()
     model, _ = sit2_train(x, t, n_rules=2, rng=Rng(1), c=1e6)
-    assert model.stage == STAGE_REFINED
     pred = predict_labels(sit2_predict(model, x))
     assert (pred == labels).mean() >= 0.99
 
@@ -60,7 +57,6 @@ def test_collapsed_width_interval_skips_nothing_but_changes_nothing(monkeypatch)
     x, t, _ = two_blobs()
     refined, _ = sit2_train(x, t, 3, Rng(5), c=1e4)
     initial, _ = sit2_train(x, t, 3, Rng(5), c=1e4, refine=False)
-    assert refined.stage == STAGE_REFINED and initial.stage == STAGE_INITIALIZED
     denom = np.abs(initial.consequents).max()
     assert np.abs(refined.consequents - initial.consequents).max() <= 1e-6 * denom
 
@@ -82,11 +78,19 @@ def test_collapsed_width_prediction_is_type1_weighted_mean(monkeypatch):
 def test_single_rule_model_predicts_its_consequent():
     rules = It2RuleBase(np.array([[0.5, 0.5]]), [0.4], [0.8])
     q = np.array([[1.0, -2.0], [0.5, 0.0], [0.0, 3.0]])  # (n+1) x outputs
-    model = Sit2Model(rules, q, STAGE_INITIALIZED)
+    model = Sit2Model(rules, q)
     x = np.array([[0.2, 0.6], [0.9, 0.1]])
     scores = sit2_predict(model, x)
     expected = _with_bias(x) @ q
     np.testing.assert_allclose(scores, expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("q", [np.zeros((4, 2)), np.zeros((2, 2)), np.zeros(3), np.zeros((3, 2, 1))])
+def test_consequents_that_do_not_chain_with_the_rules_are_refused(q):
+    # one rule on two inputs takes (2 + 1) x n_outputs consequents
+    rules = It2RuleBase(np.array([[0.5, 0.5]]), [0.4], [0.8])
+    with pytest.raises(ValueError, match=r"do not chain with 1 rules on 2 inputs"):
+        Sit2Model(rules, q)
 
 
 def test_ekm_and_sc_predictions_agree():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elmkit.numerics import Rng
-from elmkit.sit2 import STAGE_REFINED, Sit2Model, sit2_predict
+from elmkit.sit2 import Sit2Model, sit2_predict
 from elmkit.type_reduction import (
     It2RuleBase,
     brute_force_cos,
@@ -69,7 +69,7 @@ def test_firing_rejects_bad_input():
     rules = It2RuleBase(np.array([[0.0, 0.0]]), [1.0], [1.0])
     with pytest.raises(ValueError, match="samples"):
         firing_batch(rules, np.array([1.0])[None])
-    model = Sit2Model(rules, np.zeros((3, 2)), STAGE_REFINED)
+    model = Sit2Model(rules, np.zeros((3, 2)))
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="NaN or Inf"):
             sit2_predict(model, [[0.0, bad]])
