@@ -99,7 +99,9 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
 def save_idx(pixels, labels, images_path, labels_path, rows: int, cols: int) -> None:
     """Write an IDX pair; pixels in [0, 1] are quantized back to uint8."""
     pixels = np.asarray(pixels, dtype=np.float64)
-    labels = np.asarray(labels).astype(np.uint8)
+    labels = np.asarray(labels)
+    if labels.size and not 0 <= labels.min() <= labels.max() <= 255:
+        raise ValueError(f"IDX labels must be in [0, 255], got {labels[(labels < 0) | (labels > 255)][0]}")
     count = pixels.shape[0]
     if pixels.shape[1] != rows * cols:
         raise ValueError(f"pixel rows of length {pixels.shape[1]} != {rows}x{cols}")
@@ -109,7 +111,7 @@ def save_idx(pixels, labels, images_path, labels_path, rows: int, cols: int) -> 
     np.rint(scaled, out=scaled)
     quantized = np.clip(scaled, 0, 255, out=scaled).astype(np.uint8)
     write_atomic(images_path, [struct.pack(">iiii", IDX_IMAGE_MAGIC, count, rows, cols), quantized.tobytes()])
-    write_atomic(labels_path, [struct.pack(">ii", IDX_LABEL_MAGIC, count), labels.tobytes()])
+    write_atomic(labels_path, [struct.pack(">ii", IDX_LABEL_MAGIC, count), labels.astype(np.uint8).tobytes()])
 
 
 def load_csv(path) -> LabeledDataset:

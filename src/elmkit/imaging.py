@@ -9,11 +9,9 @@ then reports the component's integer centroid.  Border handling is
 zero-padded throughout, which keeps the pipeline translation equivariant
 away from the frame edges.
 
-Each blur-and-threshold step gives the mask that thresholding
-``scipy.ndimage.uniform_filter`` gives, bit for bit.  It is decided on the
-exact integer window counts; the float replica of the filter runs only when
-some count lies within the replica's rounding error of the cut, which on
-the default threshold of one half needs an even peak count.
+Each blur keeps the windows whose exact integer count of set pixels is at
+least the threshold times the peak count, so a tie on the cut is kept
+wherever it lies.
 """
 
 from __future__ import annotations
@@ -134,39 +132,12 @@ def write_ppm(px: np.ndarray, path) -> None:
     write_atomic(path, [f"P6\n{w} {h}\n255\n".encode(), px.tobytes()])
 
 
-def _blur(mask: np.ndarray, size: int) -> np.ndarray:
-    """``ndimage.uniform_filter(mask, size, mode="constant")`` of a 0/1 mask, bit for bit.
-
-    Down the columns every window sum is an exact integer.  Along the rows
-    scipy keeps a running sum, started from the first window's sequential
-    sum and stepped by (entering - leaving), and divides it by ``size`` at
-    each step; ``cumsum`` adds in that order, so every rounding matches.
-    """
-    h, w = mask.shape
-    pad = size // 2
-    padded = np.zeros((h + size - 1, w + size - 1), dtype=np.int16)
-    padded[pad : pad + h, pad : pad + w] = mask
-    cols = sum(padded[k : k + h] for k in range(size)) / size
-    steps = np.empty((h, w))
-    steps[:, 0] = sum(cols[:, k] for k in range(size))
-    steps[:, 1:] = cols[:, size:] - cols[:, : w - 1]
-    return np.cumsum(steps, axis=1, out=steps) / size
-
-
 def _blur_threshold(mask: np.ndarray, size: int, threshold: float) -> np.ndarray:
-    """``_blur(mask, size) >= threshold * _blur(mask, size).max()``, decided on window counts.
+    """The windows of a ``size x size`` box blur whose count reaches ``threshold`` times the peak count.
 
-    Each ``size x size`` window's count c of set pixels is an exact integer,
-    summed from shifted slices of the zero-padded mask.  On its way to a
-    window of a row ``w`` pixels wide, ``_blur`` rounds fewer than
-    2 * (w + size) times, each time by at most 2**-53 of a value below
-    size + 1, and then divides by ``size``; so for size >= 3 the replica
-    reads within 2**-51 * (w + size) of c / size**2.  Its maximum therefore
-    sits on a peak-count window, and its comparison agrees with
-    ``c > threshold * peak`` wherever c lies farther than
-    2**-49 * size**2 * (w + size) from that cut.  ``tol`` is twice that;
-    only when some count lies within it (a tie on the cut, or a cut within
-    rounding of zero) does the replica decide.
+    Counts are exact integers, summed from shifted slices of the zero-padded
+    mask.  For an integer count c, c >= threshold * peak in float64 is
+    c >= ceil(threshold * peak), so every window is decided exactly.
     """
     h, w = mask.shape
     pad = size // 2
@@ -178,13 +149,7 @@ def _blur_threshold(mask: np.ndarray, size: int, threshold: float) -> np.ndarray
     counts = cols[:, :w].copy()
     for k in range(1, size):
         counts += cols[:, k : k + w]
-    cut = threshold * int(counts.max())
-    near = round(cut)
-    tol = 2.0**-48 * size * size * (w + size)
-    if abs(near - cut) <= tol and (counts == near).any():
-        blurred = _blur(mask, size)
-        return blurred >= threshold * blurred.max()
-    return counts > math.floor(cut)  # no count equals cut, so > and >= agree
+    return counts >= math.ceil(threshold * int(counts.max()))
 
 
 def _largest_component(mask: np.ndarray):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +43,9 @@ def per_class_accuracy(counts: np.ndarray) -> np.ndarray:
 
 
 def write_confusion_csv(counts: np.ndarray, class_names, path) -> None:
-    lines = [",".join(class_names)] + [",".join(str(int(v)) for v in row) for row in counts]
-    write_atomic(path, [(line + "\n").encode() for line in lines])
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([class_names, *(map(int, row) for row in counts)])
+    write_atomic(path, [out.getvalue().encode()])
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,13 @@ def test_idx_fixture_round_trip(idx_pair):
     assert ds2.x.tobytes() == ds.x.tobytes()
 
 
+@pytest.mark.parametrize("label", [256, -1])
+def test_save_idx_refuses_a_label_outside_a_byte(tmp_path, label):
+    with pytest.raises(ValueError, match=rf"labels must be in \[0, 255\], got {label}$"):
+        save_idx(np.zeros((3, 4)), [0, label, 255], tmp_path / "x.idx", tmp_path / "y.idx", 2, 2)
+    assert list(tmp_path.iterdir()) == []  # refused before anything is written
+
+
 def test_idx_values_scaled_to_unit_interval(idx_pair):
     ds = load_idx(idx_pair[0], idx_pair[1])
     assert ds.x.min() >= 0.0 and ds.x.max() <= 1.0

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,15 @@ def test_confusion_csv(tmp_path):
     path = tmp_path / "cm.csv"
     write_confusion_csv(np.array([[2, 0], [1, 3]]), ("cat", "dog"), path)
     assert path.read_text() == "cat,dog\n2,0\n1,3\n"
+
+
+def test_confusion_csv_quotes_class_names_that_need_it(tmp_path):
+    path = tmp_path / "cm.csv"
+    names = ("x,y", 'say "hi"', "z")
+    write_confusion_csv(np.arange(9).reshape(3, 3), names, path)
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows == [list(names), ["0", "1", "2"], ["3", "4", "5"], ["6", "7", "8"]]
 
 
 def one_hot_scores(labels, n_classes=4):

@@ -24,6 +24,8 @@ from elmkit.model_io import MAGIC, load_model, save_model
 from elmkit.numerics import Rng
 from elmkit.pipeline import HEADS, PipelineConfig, hml_predict, hml_train
 
+from conftest import DIGITS_CONFIG
+
 
 def blob_data(n_per_class=25, seed=900):
     gen = Rng(seed).generator()
@@ -685,3 +687,65 @@ def test_model_and_score_bytes_are_pinned(tmp_path):
     run = subprocess.run([sys.executable, "-c", _TRAIN_SAVE_AND_DIGEST, str(proxy), str(tmp_path)],
                          env=env, capture_output=True, text=True, check=True, timeout=120)
     assert {head: tuple(pair) for head, pair in json.loads(run.stdout).items()} == PINNED_DIGESTS
+
+
+# trains one model per head on 1000 digits-proxy rows, (64, 64) layers and 20 rules or nodes, and prints its
+# predicted labels on 200 more
+_TRAIN_AND_LABEL = """
+import importlib.util, json, sys
+from elmkit.elm import predict_labels
+from elmkit.pipeline import PipelineConfig, hml_predict, hml_train
+
+spec = importlib.util.spec_from_file_location("digits_proxy", sys.argv[1])
+digits_proxy = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(digits_proxy)
+x, labels = digits_proxy.make_rows(1200, (7, 0))
+cs, seed = json.loads(sys.argv[2])
+predicted = {}
+for head in ("sit2", "ridge", "elm"):
+    model = hml_train(x[:1000], labels[:1000], PipelineConfig((64, 64), cs, head=head, head_size=20, seed=seed))
+    predicted[head] = predict_labels(hml_predict(model, x[1000:])).tolist()
+print(json.dumps(predicted))
+"""
+
+
+@pytest.fixture(scope="module")
+def labels_per_coretype():
+    """Each head's predicted labels, trained and scored in a fresh interpreter per OpenBLAS kernel."""
+    import scipy
+
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip(f"OPENBLAS_CORETYPE names x86-64 kernels, and this is {platform.machine()}")
+    stack = {"numpy's OpenBLAS": _openblas(np), "scipy's OpenBLAS": _openblas(scipy)}
+    if not all(version.endswith(" DYNAMIC_ARCH") for version in stack.values()):
+        pytest.skip(f"OPENBLAS_CORETYPE picks kernels only in a DYNAMIC_ARCH build, and this is {stack}")
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    if not __cpu_features__.get("X86_V3"):
+        pytest.skip("Haswell kernels need an x86-64 host with AVX2, and this one has none")
+    src = os.path.dirname(os.path.dirname(elmkit.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("OPENBLAS_CORETYPE", None)
+    proxy = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "digits_proxy.py"
+    config = json.dumps([DIGITS_CONFIG.cs, DIGITS_CONFIG.seed])
+    predicted = {}
+    for coretype in ("Haswell", "Sandybridge", None):
+        run_env = env if coretype is None else dict(env, OPENBLAS_CORETYPE=coretype)
+        run = subprocess.run([sys.executable, "-c", _TRAIN_AND_LABEL, str(proxy), config],
+                             env=run_env, capture_output=True, text=True, check=True, timeout=120)
+        predicted[coretype or "unset"] = json.loads(run.stdout)
+    return predicted
+
+
+# On an AVX-512 host with numpy 2.4.6, Haswell kernels beside numpy's AVX-512 loops flip 3 of the 200 sit2
+# labels against the other two settings, with scores moving by up to 0.37.  With numpy held to AVX2 loops
+# they agree, so a host without AVX-512 may pass: the mark is not strict.
+SIT2_KERNEL_FLIPS = pytest.mark.xfail(reason="sit2's labels follow the BLAS kernel", strict=False)
+
+
+@pytest.mark.parametrize("head", [pytest.param("sit2", marks=SIT2_KERNEL_FLIPS), "ridge", "elm"])
+def test_predicted_labels_agree_across_openblas_kernels(labels_per_coretype, head):
+    # model bytes follow the BLAS kernels (see PIN_ENV), but the labels a model predicts must not
+    labels = {coretype: predicted[head] for coretype, predicted in labels_per_coretype.items()}
+    assert labels["Haswell"] == labels["Sandybridge"] == labels["unset"]
