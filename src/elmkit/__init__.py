@@ -9,7 +9,7 @@ from .autoencoder import (
 )
 from .data import LabeledDataset, load_csv, load_idx, save_idx, split_train_test
 from .elm import ElmModel, elm_predict, elm_train, predict_labels
-from .imaging import extract_patch, read_ppm, rgb_to_hsv, segment_object, write_ppm
+from .imaging import extract_patch, read_ppm, rgb_to_hsv, segment_frames, segment_object, write_ppm
 from .metrics import (
     ActiveDecision,
     accuracy,

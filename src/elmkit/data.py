@@ -100,6 +100,9 @@ def save_idx(pixels, labels, images_path, labels_path, rows: int, cols: int) -> 
     """Write an IDX pair; pixels in [0, 1] are quantized back to uint8."""
     pixels = np.asarray(pixels, dtype=np.float64)
     labels = np.asarray(labels)
+    fractional = labels != np.floor(labels)  # NaN included
+    if fractional.any():
+        raise ValueError(f"IDX labels must be whole numbers, got {labels[fractional][0]}")
     if labels.size and not 0 <= labels.min() <= labels.max() <= 255:
         raise ValueError(f"IDX labels must be in [0, 255], got {labels[(labels < 0) | (labels > 255)][0]}")
     count = pixels.shape[0]

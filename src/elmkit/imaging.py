@@ -7,11 +7,16 @@ Segmentation runs hue-band masking, a small box blur, a binary threshold,
 a larger box blur, a second threshold, and largest-component selection,
 then reports the component's integer centroid.  Border handling is
 zero-padded throughout, which keeps the pipeline translation equivariant
-away from the frame edges.
+away from the frame edges.  ``segment_frames`` runs each step but the last
+as one array pass over a stack of frames; ``segment_object`` is its
+one-frame view.
 
+The in-band test reads 8-bit hue and saturation codes through 256-entry
+tables.  It converts only the pixels that pass the value floor and, when no
+green- or blue-max pixel can be in band, whose strongest channel is red.
 Each blur keeps the windows whose exact integer count of set pixels is at
-least the threshold times the peak count, so a tie on the cut is kept
-wherever it lies.
+least the threshold times the frame's peak count, so a tie on the cut is
+kept wherever it lies.
 """
 
 from __future__ import annotations
@@ -26,57 +31,58 @@ from .data import write_atomic
 BLUR_SIZES = (3, 7)
 SAT_MIN = 0.15  # drops dark/washed-out pixels whose hue is meaningless
 VAL_MIN = 0.15
-_VALUE_LEVELS = np.rint(np.arange(256) / 255.0 * 255.0) / 255.0  # value of each uint8 channel maximum
+# the hue codes of the pixels whose strongest channel is green or blue (ties go
+# to red): their hues lie in (60, 300) degrees, so their codes, degrees / 360 *
+# 255 rounded, in 43..212, as a test over every 8-bit colour checks.  A band
+# that holds none of them can keep only red-max pixels
+_GREEN_BLUE_CODES = np.arange(43, 213)
 
 
-def _rgb8(px) -> np.ndarray:
-    """``px`` as an array if it is a non-empty ``(h, w, 3)`` uint8 frame; otherwise a ValueError."""
+def _rgb8(px, stack: bool = False) -> np.ndarray:
+    """``px`` as an array if it is a non-empty ``(h, w, 3)`` uint8 frame, or a stack of them; otherwise a ValueError."""
     px = np.asarray(px)
-    if px.dtype != np.uint8 or px.ndim != 3 or px.shape[2] != 3 or px.size == 0:
-        raise ValueError(f"frames must be non-empty (h, w, 3) uint8 arrays, got {px.dtype} of shape {px.shape}")
+    shape = "(n, h, w, 3)" if stack else "(h, w, 3)"
+    if px.dtype != np.uint8 or px.ndim != 3 + stack or px.shape[-1] != 3 or px.size == 0:
+        raise ValueError(f"frames must be non-empty {shape} uint8 arrays, got {px.dtype} of shape {px.shape}")
     return px
 
 
 def _hsv8(px: np.ndarray):
-    """Hue, saturation and value planes of ``(..., 3)`` uint8 pixels, as floats rounded to 8-bit levels."""
-    rgb = px.astype(np.float64) / 255.0
+    """Hue, saturation and value codes of ``(..., 3)`` uint8 pixels, as uint8 planes."""
+    rgb = px.astype(np.float64)
+    rgb /= 255.0
     r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
     maxc = np.maximum(np.maximum(r, g), b)
     delta = maxc - np.minimum(np.minimum(r, g), b)
+    # the strongest channel picks the branch, ties going to red, then green;
     # gray pixels have r == g == b, so the red branch gives them hue 0
-    div = np.where(delta > 0, delta, 1.0)
-    hue = np.where(
-        maxc == r,
-        (g - b) / div,
-        np.where(maxc == g, (b - r) / div + 2.0, (r - g) / div + 4.0),
-    )
-    # only the red branch goes below 0, to (g - b) / div in [-1, 0); adding 6
+    red = maxc == r
+    green = ~red & (maxc == g)
+    blue = ~(red | green)
+    hue = g - b
+    np.subtract(b, r, out=hue, where=green)
+    np.subtract(r, g, out=hue, where=blue)
+    hue /= np.where(delta > 0, delta, 1.0)
+    np.add(hue, 2.0, out=hue, where=green)
+    np.add(hue, 4.0, out=hue, where=blue)
+    # only the red branch goes below 0, to (g - b) / delta in [-1, 0); adding 6
     # there is np.mod(hue, 6.0), rounding included, at a fraction of its cost
     np.add(hue, 6.0, out=hue, where=hue < 0)
     hue *= 60.0  # degrees in [0, 360)
-    sat = np.where(maxc > 0, delta / np.where(maxc > 0, maxc, 1.0), 0.0)
-    return np.rint(hue / 360.0 * 255.0), np.rint(sat * 255.0), np.rint(maxc * 255.0)
+    hue /= 360.0
+    sat = delta / np.where(maxc > 0, maxc, 1.0)  # 0 / 1 where maxc and delta are 0
+    return tuple(_code(plane) for plane in (hue, sat, maxc))
+
+
+def _code(plane: np.ndarray) -> np.ndarray:
+    """The 8-bit codes of a float plane in [0, 1], rounded half to even; ``plane`` is overwritten."""
+    plane *= 255.0
+    return np.rint(plane, out=plane).astype(np.uint8)
 
 
 def rgb_to_hsv(px: np.ndarray) -> np.ndarray:
     """Hexcone HSV of a frame: hue in [0, 360) and saturation/value in [0, 1], all scaled to 8 bits."""
-    return np.stack(_hsv8(_rgb8(px)), axis=2).astype(np.uint8)
-
-
-def hsv_to_rgb_units(h_deg, s, v):
-    """Scalar/array HSV (degrees, unit s and v) to unit RGB; used by the renderer."""
-    h = (np.asarray(h_deg, dtype=np.float64) % 360.0) / 60.0
-    s = np.asarray(s, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    i = np.floor(h).astype(int) % 6
-    f = h - np.floor(h)
-    p = v * (1.0 - s)
-    q = v * (1.0 - s * f)
-    t = v * (1.0 - s * (1.0 - f))
-    r = np.choose(i, [v, q, p, p, t, v])
-    g = np.choose(i, [t, v, v, q, p, p])
-    b = np.choose(i, [p, p, t, v, v, q])
-    return r, g, b
+    return np.stack(_hsv8(_rgb8(px)), axis=2)
 
 
 def _header_int(path, name: str, raw: bytes) -> int:
@@ -135,21 +141,25 @@ def write_ppm(px: np.ndarray, path) -> None:
 def _blur_threshold(mask: np.ndarray, size: int, threshold: float) -> np.ndarray:
     """The windows of a ``size x size`` box blur whose count reaches ``threshold`` times the peak count.
 
-    Counts are exact integers, summed from shifted slices of the zero-padded
-    mask.  For an integer count c, c >= threshold * peak in float64 is
-    c >= ceil(threshold * peak), so every window is decided exactly.
+    ``mask`` is ``(..., h, w)``; each ``(h, w)`` plane is blurred on its own,
+    against its own peak.  Counts are exact integers, summed from shifted
+    slices of the zero-padded mask.  For an integer count c, c >= threshold *
+    peak in float64 is c >= ceil(threshold * peak), so every window is
+    decided exactly.
     """
-    h, w = mask.shape
+    *lead, h, w = mask.shape
     pad = size // 2
-    padded = np.zeros((h + size - 1, w + size - 1), dtype=np.min_scalar_type(size * size))
-    padded[pad : pad + h, pad : pad + w] = mask
-    cols = padded[:h].copy()
+    padded = np.zeros((*lead, h + size - 1, w + size - 1), dtype=np.min_scalar_type(size * size))
+    padded[..., pad : pad + h, pad : pad + w] = mask
+    cols = padded[..., :h, :].copy()
     for k in range(1, size):
-        cols += padded[k : k + h]
-    counts = cols[:, :w].copy()
+        cols += padded[..., k : k + h, :]
+    counts = cols[..., :w].copy()
     for k in range(1, size):
-        counts += cols[:, k : k + w]
-    return counts >= math.ceil(threshold * int(counts.max()))
+        counts += cols[..., k : k + w]
+    # the cut is at most the peak, so it fits the counts' type
+    peak = counts.max(axis=(-2, -1), keepdims=True).astype(np.float64)
+    return counts >= np.ceil(threshold * peak).astype(counts.dtype)
 
 
 def _largest_component(mask: np.ndarray):
@@ -200,43 +210,64 @@ def _largest_component(mask: np.ndarray):
     return component.reshape(h, w), tuple(math.floor(total / n + 0.5) for total in sums)
 
 
-@functools.cache
-def _value_floor(val_min: float) -> int:
-    """The least uint8 channel maximum whose 8-bit value level reaches ``val_min``."""
-    # value is the channel maximum over 255 and its 8-bit levels rise with it
-    return 256 - int(np.count_nonzero(_VALUE_LEVELS >= val_min))
+@functools.lru_cache(maxsize=64)
+def _code_tables(hue_lo: float, hue_hi: float, sat_min: float, val_min: float):
+    """The in-band test on 8-bit codes: (the least uint8 channel maximum whose value
+    reaches ``val_min``, a 256-entry table of the hue codes in the band, one of the
+    saturation codes that reach ``sat_min``, whether only red-max pixels can be in
+    band).  Cached, as building them would take about a twentieth of a one-frame
+    call; the cache shares the tables, so they are read-only."""
+    codes = np.arange(256)
+    # value is the channel maximum over 255, and its 8-bit levels rise with it
+    value_floor = 256 - int(np.count_nonzero(np.rint(codes / 255.0 * 255.0) / 255.0 >= val_min))
+    hue = codes / 255.0 * 360.0
+    if hue_lo <= hue_hi:
+        band = (hue >= hue_lo) & (hue <= hue_hi)
+    else:
+        band = (hue >= hue_lo) | (hue <= hue_hi)
+    sat = codes / 255.0 >= sat_min
+    band.flags.writeable = sat.flags.writeable = False
+    return value_floor, band, sat, not band[_GREEN_BLUE_CODES].any()
+
+
+def segment_frames(frames: np.ndarray, hue_lo: float, hue_hi: float, threshold: float = 0.5):
+    """Isolate the largest in-band object of each frame of an ``(n, h, w, 3)`` uint8 stack.
+
+    Returns a list of (mask, (row, col) centroid), one per frame.  ``hue_lo``
+    and ``hue_hi`` are degrees in [0, 360]; a range with hue_lo > hue_hi
+    wraps around 0/360 (e.g. 330..30 selects reds).  The in-band test reads
+    the same 8-bit hue, saturation and value as ``rgb_to_hsv``.
+    ``threshold`` is a fraction of each frame's post-blur maximum.  A frame
+    with no in-band pixel raises ValueError("no object in hue band").
+    """
+    frames = _rgb8(frames, stack=True)
+    if not (0.0 <= hue_lo <= 360.0 and 0.0 <= hue_hi <= 360.0):
+        raise ValueError(f"hue bounds must be in [0, 360], got {hue_lo!r}, {hue_hi!r}")
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError(f"threshold must be in (0, 1], got {threshold!r}")
+    value_floor, band, sat, red_only = _code_tables(float(hue_lo), float(hue_hi), SAT_MIN, VAL_MIN)
+    red = frames[..., 0]
+    maxc = np.maximum(np.maximum(red, frames[..., 1]), frames[..., 2])
+    keep = maxc >= value_floor
+    if red_only:
+        keep &= red == maxc
+    candidates = np.flatnonzero(keep)
+    h8, s8, _ = _hsv8(np.take(frames.reshape(-1, 3), candidates, axis=0))
+    mask = np.zeros(maxc.shape, dtype=bool)
+    mask.reshape(-1)[candidates] = band[h8] & sat[s8]
+    if not mask.any(axis=(1, 2)).all():
+        raise ValueError("no object in hue band")
+    for size in BLUR_SIZES:  # a non-empty mask's blur peaks above 0 and keeps its peak
+        mask = _blur_threshold(mask, size, threshold)
+    return [_largest_component(plane) for plane in mask]
 
 
 def segment_object(px: np.ndarray, hue_lo: float, hue_hi: float, threshold: float = 0.5):
     """Isolate the largest in-band object of a frame; returns (mask, (row, col) centroid).
 
-    ``hue_lo`` and ``hue_hi`` are degrees in [0, 360]; a range with
-    hue_lo > hue_hi wraps around 0/360 (e.g. 330..30 selects reds).  The
-    in-band test reads the same 8-bit hue, saturation and value as
-    ``rgb_to_hsv``, but converts only the pixels that pass the value floor.
-    ``threshold`` is a fraction of the post-blur maximum.
+    The one-frame view of ``segment_frames``, which states the arguments.
     """
-    px = _rgb8(px)
-    if not (0.0 <= hue_lo <= 360.0 and 0.0 <= hue_hi <= 360.0):
-        raise ValueError(f"hue bounds must be in [0, 360], got {hue_lo!r}, {hue_hi!r}")
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"threshold must be in (0, 1], got {threshold!r}")
-    maxc = np.maximum(np.maximum(px[..., 0], px[..., 1]), px[..., 2])
-    bright = np.flatnonzero(maxc >= _value_floor(VAL_MIN))
-    h8, s8, _ = _hsv8(np.take(px.reshape(-1, 3), bright, axis=0))
-    hue = h8 / 255.0 * 360.0
-    if hue_lo <= hue_hi:
-        in_band = (hue >= hue_lo) & (hue <= hue_hi)
-    else:
-        in_band = (hue >= hue_lo) | (hue <= hue_hi)
-    mask = np.zeros(maxc.size, dtype=bool)
-    mask[bright] = in_band & (s8 / 255.0 >= SAT_MIN)
-    mask = mask.reshape(maxc.shape)
-    if not mask.any():
-        raise ValueError("no object in hue band")
-    for size in BLUR_SIZES:  # a non-empty mask's blur peaks above 0 and keeps its peak
-        mask = _blur_threshold(mask, size, threshold)
-    return _largest_component(mask)
+    return segment_frames(_rgb8(px)[None], hue_lo, hue_hi, threshold)[0]
 
 
 def extract_patch(mask: np.ndarray, centroid, side: int = 52) -> np.ndarray:

@@ -46,6 +46,18 @@ def test_save_idx_refuses_a_label_outside_a_byte(tmp_path, label):
     assert list(tmp_path.iterdir()) == []  # refused before anything is written
 
 
+@pytest.mark.parametrize(
+    "labels, first", [([1.5, 2.9], "1.5"), ([0.0, 3.0, 2.25], "2.25"), ([1.0, float("nan")], "nan")]
+)
+def test_save_idx_refuses_a_label_that_is_not_a_whole_number(tmp_path, labels, first):
+    pixels = np.zeros((len(labels), 4))
+    with pytest.raises(ValueError, match=rf"labels must be whole numbers, got {first}$"):
+        save_idx(pixels, labels, tmp_path / "x.idx", tmp_path / "y.idx", 2, 2)
+    assert list(tmp_path.iterdir()) == []  # refused before anything is written
+    save_idx(pixels[:1], np.floor(labels[:1]), tmp_path / "x.idx", tmp_path / "y.idx", 2, 2)  # whole floats are written
+    assert load_idx(tmp_path / "x.idx", tmp_path / "y.idx").labels.tolist() == [int(labels[0])]
+
+
 def test_idx_values_scaled_to_unit_interval(idx_pair):
     ds = load_idx(idx_pair[0], idx_pair[1])
     assert ds.x.min() >= 0.0 and ds.x.max() <= 1.0

@@ -17,6 +17,7 @@ from elmkit.imaging import (
     extract_patch,
     read_ppm,
     rgb_to_hsv,
+    segment_frames,
     segment_object,
     write_ppm,
 )
@@ -46,7 +47,7 @@ import sys
 from elmkit import PipelineConfig, Rng, hml_predict, hml_train, load_model, synth_shape_dataset
 def loaded():
     return [m for m in ("scipy.linalg", "scipy.ndimage", "scipy.special") if m in sys.modules]
-ds, _ = synth_shape_dataset(2, 0.25, Rng(6))  # renders and runs segment_object on every frame
+ds, _ = synth_shape_dataset(2, 0.25, Rng(6))  # renders and segments every frame
 hml_predict(load_model({str(model_path)!r}), ds.x)
 print(loaded())
 hml_train(ds.x, ds.labels, PipelineConfig((12,), (10.0, 1e4), head_size=4))
@@ -91,6 +92,9 @@ REFUSALS = [
     *((f"{taker}-mask", FRAME_TAKERS[taker], MASK, "(h, w, 3) uint8") for taker in ("segment_object", "rgb_to_hsv")),
     ("write_ppm-mask-holding-7", write_ppm, np.full((4, 4), 7, dtype=np.uint8), "(h, w) uint8 arrays of 0/1"),
     ("write_ppm-float-mask", write_ppm, MASK.astype(np.float64), "(h, w) uint8 arrays of 0/1"),
+    *((f"segment_frames-{name}", lambda px, path: segment_frames(px, 330.0, 30.0), px, "(n, h, w, 3) uint8")
+      for name, px in (("frame", BAD_FRAMES["4-D"][0]), ("float", np.zeros((1, 4, 4, 3))),
+                       ("empty", np.zeros((0, 4, 4, 3), np.uint8)))),
     ("extract_patch-frame", lambda px, path: extract_patch(px, (1, 1)), np.zeros((4, 4, 3), dtype=np.uint8), "2-D"),
     ("extract_patch-1-D", lambda px, path: extract_patch(px, (1, 1)), np.ones(16, dtype=np.uint8), "2-D"),
     ("extract_patch-side-0", lambda px, path: extract_patch(px, (1, 1), side=0), MASK, "side must be >= 1, got 0"),
@@ -289,17 +293,24 @@ def _test_frame(gen, kind):
     return gen.integers(36, 52, (h, w, 3), dtype=np.uint8)  # values near the 0.15 floor
 
 
+# bands whose edges sit on the hue sectors' boundaries, and one 8-bit code
+# wide, on code 43, the least code a green-max pixel takes
+SECTOR_BANDS = [(60.0, 180.0), (180.0, 300.0), (300.0, 60.0), (42.6 / 255 * 360, 43.4 / 255 * 360)]
+
+
 def test_segment_matches_whole_frame_hsv_reference(monkeypatch):
     gen = np.random.default_rng(20261018)
     levels = [0.0, 38 / 255, 39 / 255, 0.15, 1.0, 1.5]
-    bands = [(330.0, 30.0), (0.0, 360.0), (0.0, 0.0), (90.0, 200.0), (200.0, 90.0), (360.0, 0.0)]
+    bands = [(330.0, 30.0), (0.0, 360.0), (0.0, 0.0), (90.0, 200.0), (200.0, 90.0), (360.0, 0.0), *SECTOR_BANDS]
     found = 0
+    used = set()
     for i in range(900):
         px = _test_frame(gen, ("uniform", "grays", "near-floor")[i % 3])
-        band = bands[i % len(bands)] if i % 2 else tuple(float(v) for v in gen.uniform(0.0, 360.0, 2))
+        band = bands[i // 2 % len(bands)] if i % 2 else tuple(float(v) for v in gen.uniform(0.0, 360.0, 2))
         floors = float(gen.choice(levels)), float(gen.choice(levels))
         monkeypatch.setattr(imaging, "SAT_MIN", floors[0])
         monkeypatch.setattr(imaging, "VAL_MIN", floors[1])
+        used.add(band)
         expected = reference_segment(px, *band, *floors)
         try:
             mask, centroid = segment_object(px, *band)
@@ -311,6 +322,20 @@ def test_segment_matches_whole_frame_hsv_reference(monkeypatch):
         assert mask.tobytes() == expected[0].tobytes(), (i, band, floors)
         assert centroid == expected[1], (i, band, floors)
     assert 300 < found < 900  # both outcomes are exercised
+    assert used >= set(bands)
+
+
+def test_green_and_blue_max_colours_take_exactly_the_green_blue_codes():
+    taken = np.zeros(256, bool)
+    green_blue = np.indices((256, 256), dtype=np.uint8).reshape(2, -1).T
+    for red in range(0, 256, 4):  # every 8-bit colour, four red levels at a time
+        px = np.empty((4, green_blue.shape[0], 3), np.uint8)
+        px[..., 0] = np.arange(red, red + 4, dtype=np.uint8)[:, None]
+        px[..., 1:] = green_blue
+        px = px.reshape(-1, 3)
+        px = px[px[:, 0] < px.max(axis=1)]  # ties go to red
+        taken[imaging._hsv8(px)[0]] = True
+    assert np.flatnonzero(taken).tolist() == imaging._GREEN_BLUE_CODES.tolist()
 
 
 def _test_masks(gen, n):
@@ -578,3 +603,84 @@ def test_segment_params_reject_out_of_range(kwargs):
 def test_segment_rejects_bad_hue_bounds(band):
     with pytest.raises(ValueError, match="hue bounds"):
         segment_object(solid_square_frame(60, 20, 20, 20), *band)
+
+
+def mixed_frames():
+    """Seven 120 x 120 frames: each shape kind rendered at a different noise level, a
+    solid square, two blobs of different sizes, and a wide object on a noisy ground."""
+    frames = [
+        synth_shape(kind, ShapePose(14.0 + 4 * i, 0.3 * i, (50 + 5 * i, 64 - 3 * i)), noise, Rng(31, i))[0]
+        for i, (kind, noise) in enumerate(zip(shapes.SHAPE_KINDS, (0.0, 0.25, 0.6, 1.0)))
+    ]
+    frames.append(solid_square_frame(120, 30, 70, 25, (250, 40, 60)))
+    two = solid_square_frame(120, 10, 10, 8)
+    two[60:95, 50:90] = (200, 20, 10)
+    frames.append(two)
+    noisy = np.random.default_rng(5).integers(0, 60, (120, 120, 3), dtype=np.uint8)
+    noisy[40:70, 5:115] = (230, 30, 20)
+    frames.append(noisy)
+    return frames
+
+
+@pytest.mark.parametrize("band", [HUE_BAND, (0.0, 360.0), (300.0, 60.0)])
+@pytest.mark.parametrize("threshold", [0.5, 0.9])
+def test_segment_frames_equals_segment_object_frame_by_frame(band, threshold):
+    frames = mixed_frames()
+    expected = [segment_object(frame, *band, threshold) for frame in frames]
+    for n in (1, 4, 7):
+        got = segment_frames(np.stack(frames[:n]), *band, threshold)
+        assert len(got) == n
+        for (mask, centroid), (mask_1, centroid_1) in zip(got, expected):
+            assert mask.dtype == mask_1.dtype and mask.tobytes() == mask_1.tobytes()
+            assert centroid == centroid_1
+
+
+def test_segment_takes_numpy_hue_bounds():
+    frame = solid_square_frame()
+    expected = segment_object(frame, 330.0, 30.0)
+    got = segment_object(frame, np.float32(330.0), np.array(30.0))  # a 0-d array is not hashable
+    assert got[0].tobytes() == expected[0].tobytes() and got[1] == expected[1]
+
+
+def test_segment_frames_refuses_a_stack_with_a_frame_out_of_band():
+    frames = mixed_frames()[:4]
+    frames[2] = solid_square_frame(120, 30, 30, 40, (0, 255, 0))  # green object, red band
+    with pytest.raises(ValueError, match="^no object in hue band$"):
+        segment_frames(np.stack(frames), *HUE_BAND)
+
+
+def unit_rgb_reference(h_deg, s, v):
+    """HSV (degrees, unit s and v) to unit RGB by ``np.choose`` on 0-d arrays: the
+    renderer's colour before it became scalar float math."""
+    h = (np.asarray(h_deg, dtype=np.float64) % 360.0) / 60.0
+    s = np.asarray(s, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    i = np.floor(h).astype(int) % 6
+    f = h - np.floor(h)
+    p = v * (1.0 - s)
+    q = v * (1.0 - s * f)
+    t = v * (1.0 - s * (1.0 - f))
+    r = np.choose(i, [v, q, p, p, t, v])
+    g = np.choose(i, [t, v, v, q, p, p])
+    b = np.choose(i, [p, p, t, v, v, q])
+    return r, g, b
+
+
+def test_scalar_shape_colour_equals_the_vectorized_formula_bitwise():
+    edges = np.arange(-360.0, 721.0, 60.0)  # every sector boundary, the 0/360 wrap among them
+    hues = np.concatenate([
+        np.linspace(-30.0, 390.0, 1261),
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        [-1e-300, -0.0, 1e-300, -18.0, 18.0],
+    ])
+    gen = np.random.default_rng(12)
+    levels = np.concatenate([[0.0, 0.5, 1.0], gen.uniform(0.74, 0.94, 5)])
+    checked = set()
+    for hue in hues.tolist():
+        for sat, val in zip(levels.tolist(), gen.permutation(levels).tolist()):
+            got = np.array(shapes._unit_rgb(hue, sat, val))
+            # the renderer passed the hue through % 360.0 before the formula's own
+            expected = np.array([float(c) for c in unit_rgb_reference(hue % 360.0, sat, val)])
+            assert got.tobytes() == expected.tobytes(), (hue, sat, val)
+        checked.add(int(np.floor(hue % 360.0 / 60.0)) % 6)
+    assert checked == set(range(6))
