@@ -172,9 +172,8 @@ def cmd_bench(args) -> int:
         cfg["seed"] = args.seed
     elm_hidden = cfg.pop("elm_hidden")
     base = PipelineConfig.from_dict(cfg)
-    elm = {"layer_sizes": [], "Cs": [base.cs[-1]], "head": "elm", "head_size": elm_hidden, "seed": base.seed}
     pipelines = (
-        ("elm", PipelineConfig.from_dict(elm)),
+        ("elm", replace(base, layer_sizes=(), cs=base.cs[-1:], head="elm", head_size=elm_hidden)),
         ("ml-elm", replace(base, head="ridge")),
         ("hml-elm", replace(base, head="sit2")),
     )
@@ -283,8 +282,6 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.n_per_class < 1:
-        raise ValueError("n-per-class must be >= 1")
     ds, samples = synth_shape_dataset(
         args.n_per_class,
         args.noise,
@@ -311,10 +308,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_segment(args) -> int:
-    frame = read_ppm(args.image)
-    hue_lo = HUE_BAND[0] if args.hue_lo is None else args.hue_lo
-    hue_hi = HUE_BAND[1] if args.hue_hi is None else args.hue_hi
-    mask, centroid = segment_object(frame, hue_lo, hue_hi, args.threshold)
+    mask, centroid = segment_object(read_ppm(args.image), args.hue_lo, args.hue_hi, args.threshold)
     if args.out:
         write_ppm(mask, args.out)
     print(json.dumps({"centroid_row": centroid[0], "centroid_col": centroid[1]}))
@@ -372,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("segment", help="run the segmentation pipeline on a PPM image")
     p.add_argument("--image", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--hue-lo", type=float, default=None)
-    p.add_argument("--hue-hi", type=float, default=None)
+    p.add_argument("--hue-lo", type=float, default=HUE_BAND[0])
+    p.add_argument("--hue-hi", type=float, default=HUE_BAND[1])
     p.add_argument("--threshold", type=float, default=0.5)
     p.set_defaults(fn=cmd_segment)
     return parser

@@ -21,7 +21,6 @@ kept wherever it lies.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -163,7 +162,7 @@ def _blur_threshold(mask: np.ndarray, size: int, threshold: float) -> np.ndarray
 
 
 def _largest_component(mask: np.ndarray):
-    """(uint8 mask, rounded centroid) of the largest 4-connected component; None if empty.
+    """(uint8 mask, rounded centroid) of the largest 4-connected component of a non-empty mask.
 
     Works on horizontal runs in raster order.  Runs in adjacent rows whose
     columns overlap are joined under the smaller run index, so components
@@ -176,8 +175,6 @@ def _largest_component(mask: np.ndarray):
     raster[1:].reshape(h, stride)[:, :w] = mask
     edges = np.flatnonzero(raster[1:] != raster[:-1])
     start, end = edges[::2], edges[1::2]  # run i covers [start[i], end[i]) of raster[1:]
-    if start.size == 0:
-        return None
     # the runs of the next row that overlap run i are first[i] <= j < last[i]
     first = np.searchsorted(end, start + stride, side="right")
     last = np.searchsorted(start, end + stride, side="left")
@@ -210,23 +207,20 @@ def _largest_component(mask: np.ndarray):
     return component.reshape(h, w), tuple(math.floor(total / n + 0.5) for total in sums)
 
 
-@functools.lru_cache(maxsize=64)
-def _code_tables(hue_lo: float, hue_hi: float, sat_min: float, val_min: float):
+def _code_tables(hue_lo: float, hue_hi: float):
     """The in-band test on 8-bit codes: (the least uint8 channel maximum whose value
-    reaches ``val_min``, a 256-entry table of the hue codes in the band, one of the
-    saturation codes that reach ``sat_min``, whether only red-max pixels can be in
-    band).  Cached, as building them would take about a twentieth of a one-frame
-    call; the cache shares the tables, so they are read-only."""
+    reaches ``VAL_MIN``, a 256-entry table of the hue codes in the band, one of the
+    saturation codes that reach ``SAT_MIN``, whether only red-max pixels can be in
+    band)."""
     codes = np.arange(256)
     # value is the channel maximum over 255, and its 8-bit levels rise with it
-    value_floor = 256 - int(np.count_nonzero(np.rint(codes / 255.0 * 255.0) / 255.0 >= val_min))
+    value_floor = 256 - int(np.count_nonzero(np.rint(codes / 255.0 * 255.0) / 255.0 >= VAL_MIN))
     hue = codes / 255.0 * 360.0
     if hue_lo <= hue_hi:
         band = (hue >= hue_lo) & (hue <= hue_hi)
     else:
         band = (hue >= hue_lo) | (hue <= hue_hi)
-    sat = codes / 255.0 >= sat_min
-    band.flags.writeable = sat.flags.writeable = False
+    sat = codes / 255.0 >= SAT_MIN
     return value_floor, band, sat, not band[_GREEN_BLUE_CODES].any()
 
 
@@ -245,7 +239,7 @@ def segment_frames(frames: np.ndarray, hue_lo: float, hue_hi: float, threshold: 
         raise ValueError(f"hue bounds must be in [0, 360], got {hue_lo!r}, {hue_hi!r}")
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold!r}")
-    value_floor, band, sat, red_only = _code_tables(float(hue_lo), float(hue_hi), SAT_MIN, VAL_MIN)
+    value_floor, band, sat, red_only = _code_tables(hue_lo, hue_hi)
     red = frames[..., 0]
     maxc = np.maximum(np.maximum(red, frames[..., 1]), frames[..., 2])
     keep = maxc >= value_floor

@@ -162,8 +162,6 @@ def orthonormal_random(rows: int, cols: int, rng: Rng) -> np.ndarray:
 
 
 def unit_row(n: int, rng: Rng) -> np.ndarray:
-    """Unit-norm row vector of standard-normal draws (b b' = 1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """Unit-norm row vector of n >= 1 standard-normal draws (b b' = 1)."""
     v = rng.generator().standard_normal(n)
     return v / np.linalg.norm(v)

@@ -43,13 +43,11 @@ def _polygon_vertices(kind: str, pose: ShapePose, gen) -> np.ndarray:
     elif kind == "triangle":
         angles = pose.rotation + np.deg2rad([90.0, 210.0, 330.0])
         radii = np.full(3, pose.scale)
-    elif kind == "irregular":
+    else:  # "irregular", the one kind left once synth_shape has checked it
         n = 11
         angles = pose.rotation + np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
         angles = angles + gen.uniform(-0.15, 0.15, n)
         radii = pose.scale * gen.uniform(0.55, 1.0, n)
-    else:
-        raise ValueError(f"unknown shape kind {kind!r}")
     rows = pose.offset[0] - radii * np.sin(angles)
     cols = pose.offset[1] + radii * np.cos(angles)
     return np.stack([rows, cols], axis=1)

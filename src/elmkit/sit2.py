@@ -59,21 +59,22 @@ def _input_gram(xb):
     return buf
 
 
-def _product_ridge(phi, xb, t, c, buf=None):
-    """Ridge solve for hidden rows h_p = kron(phi_p, xb_p).
+def _product_ridge(phi, xb, t, c, buf):
+    """Ridge solve for hidden rows h_p = kron(phi_p, xb_p), by the route the caller picks.
 
-    Tall systems go through ``ridge_solve`` on the explicit rows (p*m <= p*p
-    floats).  Wide systems exploit h_p . h_q = (phi_p . phi_q)(xb_p . xb_q):
-    the dual Gram is the elementwise product of the two small Grams, written
-    in row blocks into the upper triangle of ``buf`` (from ``_input_gram``,
-    made here when not given) around the K it reads, factored there in
-    place, and the weights fold back one output column at a time.  K
-    survives for the next solve.
+    Without ``buf``, the caller's choice for tall systems (p*m <= p*p floats),
+    it is ``ridge_solve`` on the explicit rows.  With ``buf`` from
+    ``_input_gram``, for wide systems, it uses
+    h_p . h_q = (phi_p . phi_q)(xb_p . xb_q): the dual Gram is the elementwise
+    product of the two small Grams, written in row blocks into the upper
+    triangle of ``buf`` around the K it reads, factored there in place, and
+    the weights fold back one output column at a time.  K survives for the
+    next solve.
     """
     p, m_rules = phi.shape
     k = xb.shape[1]
     m = m_rules * k
-    if m <= p:
+    if buf is None:
         return ridge_solve((phi[:, :, None] * xb[:, None, :]).reshape(p, m), t, c)
 
     def build(g):
@@ -85,7 +86,7 @@ def _product_ridge(phi, xb, t, c, buf=None):
                 g[s:e, u : u + _TILE_COLS] *= g[u : u + _TILE_COLS, s:e].T
             g[s:e, s:e] = (phi[s:e] @ phi[s:e].T) * (xb[s:e] @ xb[s:e].T)
 
-    alpha = _solve_spd(build, t, c, out=_input_gram(xb) if buf is None else buf)
+    alpha = _solve_spd(build, t, c, out=buf)
     # b[j*k + a] = sum_p phi[p, j] xb[p, a] alpha[p], one output column at a time
     b = np.empty((m, alpha.shape[1]))
     for i in range(alpha.shape[1]):
@@ -148,7 +149,7 @@ def sit2_train(
     xb = _with_bias(x)
     phi0 = lower + upper
     phi0 /= phi0.sum(axis=1, keepdims=True)
-    # the dual path's input Gram, in the one buffer every solve below builds in
+    # the one route choice: every solve of a wide system builds in this input-Gram buffer
     buf = _input_gram(xb) if n_rules * xb.shape[1] > x.shape[0] else None
     q = _product_ridge(phi0, xb, t, c, buf)
     if refine:  # column i of the initial q is read only to refine column i, so refine in place

@@ -91,7 +91,7 @@ def firing_batch(rules: It2RuleBase, x) -> tuple[np.ndarray, np.ndarray]:
             block.sum(axis=1, out=d2[s : s + _FIRING_ROWS, j])
     log_upper = -d2 / (2.0 * rules.sigma_upper**2)
     log_lower = -d2 / (2.0 * rules.sigma_lower**2)
-    shifts = log_upper.max(axis=1) if p else np.zeros(0)
+    shifts = log_upper.max(axis=1)
     lower = np.exp(log_lower - shifts[:, None])
     upper = np.exp(log_upper - shifts[:, None])
     return lower, upper
@@ -157,7 +157,6 @@ def _brute_force_row(lower: np.ndarray, upper: np.ndarray, w: np.ndarray):
     base_den = float(lower.sum())
     best_min = np.inf
     best_max = -np.inf
-    z_min = z_max = None
     n = 1 << m
     cols = np.arange(m, dtype=np.uint32)
     for start in range(0, n, 1 << 16):
@@ -177,8 +176,6 @@ def _brute_force_row(lower: np.ndarray, upper: np.ndarray, w: np.ndarray):
         if y[i_hi] > best_max:
             best_max = float(y[i_hi])
             z_max = z[i_hi].astype(np.int8)
-    if z_min is None:
-        raise ValueError("vacuous firing: no assignment has positive weight")
     return best_min, best_max, z_min, z_max
 
 
@@ -284,16 +281,12 @@ def sc_reduce_batch(lower: np.ndarray, upper: np.ndarray, w: np.ndarray):
     y_r = np.empty(p)
     z_l = np.ones((p, m), dtype=np.int8)
     z_r = np.ones((p, m), dtype=np.int8)
-    if p == 0:
-        return y_l, y_r, z_l, z_r
     if not np.all(upper.max(axis=1) > 0.0):
         raise ValueError("vacuous firing: a row has all-zero upper strengths")
     degen = ~np.any(lower > 0.0, axis=1)
     live = np.flatnonzero(~degen)
     for i in np.flatnonzero(degen):
         y_l[i], y_r[i], z_l[i], z_r[i] = _degenerate_interval(upper[i], w[i])
-    if live.size == 0:
-        return y_l, y_r, z_l, z_r
     lo, up, ww = (lower, upper, w) if live.size == p else (lower[live], upper[live], w[live])
     delta = up - lo
     delta_t = np.ascontiguousarray(delta.T)

@@ -4,10 +4,11 @@ import struct
 import numpy as np
 import pytest
 
-from elmkit.cli import main
+from elmkit.cli import build_parser, main
 from elmkit.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, save_idx
 from elmkit.imaging import write_ppm
 from elmkit.numerics import Rng
+from elmkit.shapes import HUE_BAND
 
 TRAIN_SCHEMA_KEYS = {
     "command", "version", "config", "data", "model_path", "n_samples",
@@ -311,6 +312,11 @@ def test_segment_cli(tmp_path, capsys):
     assert abs(centroid["centroid_row"] - 27) <= 1
     assert abs(centroid["centroid_col"] - 32) <= 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.ppm", "mask.ppm"]
+
+
+def test_segment_cli_defaults_to_the_shapes_hue_band():
+    args = build_parser().parse_args(["segment", "--image", "in.ppm"])
+    assert (args.hue_lo, args.hue_hi) == HUE_BAND
 
 
 def test_segment_cli_rejects_zero_threshold(tmp_path, capsys):

@@ -437,15 +437,13 @@ def test_largest_component_matches_ndimage_label():
     ties = 0
     for mask in [*edge_cases, *_test_masks(gen, 1500)]:
         expected = reference_largest_component(mask)
-        got = imaging._largest_component(mask)
-        if expected is None:
-            assert got is None
+        if expected is None:  # segment_frames never passes an empty mask
             continue
+        got = imaging._largest_component(mask)
         assert got[0].tobytes() == expected[0].tobytes() and got[1] == expected[1], mask.shape
         sizes = np.sort(np.bincount(ndimage.label(mask)[0].ravel())[1:])
         ties += sizes.size > 1 and sizes[-1] == sizes[-2]
     assert ties > 100
-    assert imaging._largest_component(np.zeros((4, 5), bool)) is None
 
 
 def test_hsv_matches_reference_bytes():
@@ -640,6 +638,19 @@ def test_segment_takes_numpy_hue_bounds():
     expected = segment_object(frame, 330.0, 30.0)
     got = segment_object(frame, np.float32(330.0), np.array(30.0))  # a 0-d array is not hashable
     assert got[0].tobytes() == expected[0].tobytes() and got[1] == expected[1]
+
+
+@pytest.mark.parametrize("threshold", [1e-12, 0.5, 1.0])
+def test_segment_frames_keeps_the_smallest_in_band_objects(threshold):
+    # each blur keeps its peak window, so the least in-band content still gives a component
+    frames = np.zeros((4, 60, 60, 3), dtype=np.uint8)
+    frames[0, 25, 31] = (255, 0, 0)  # one pixel
+    frames[1, 0, 0] = (255, 0, 0)  # one pixel in a corner, against the zero padding
+    frames[2, 40, 10:50] = (255, 0, 0)  # a one-row line
+    frames[3, 12, 8] = frames[3, 50, 44] = (255, 0, 0)  # two separated pixels
+    for mask, centroid in segment_frames(frames, *HUE_BAND, threshold):
+        assert mask.dtype == np.uint8 and mask.any() and set(np.unique(mask).tolist()) == {0, 1}
+        assert mask[centroid] == 1, centroid
 
 
 def test_segment_frames_refuses_a_stack_with_a_frame_out_of_band():

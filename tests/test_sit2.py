@@ -158,7 +158,7 @@ def test_product_ridge_structured_matches_explicit():
         t = gen.uniform(-1.0, 1.0, (p, outs))
         h = (phi[:, :, None] * xb[:, None, :]).reshape(p, m_rules * k)
         expected = ridge_solve(h, t, 50.0)
-        got = _product_ridge(phi, xb, t, 50.0)
+        got = _product_ridge(phi, xb, t, 50.0, _input_gram(xb))
         np.testing.assert_allclose(got, expected, rtol=1e-8, atol=1e-10)
 
 
@@ -172,7 +172,7 @@ def test_product_ridge_tall_is_ridge_solve_on_explicit_rows_bitwise():
     t = gen.uniform(-1.0, 1.0, (p, outs))
     h = (phi[:, :, None] * xb[:, None, :]).reshape(p, m_rules * k)
     for targets in (t, t[:, :1]):  # the initial pass and one refinement column
-        got = _product_ridge(phi, xb, targets, 50.0)
+        got = _product_ridge(phi, xb, targets, 50.0, None)
         expected = ridge_solve(h, targets, 50.0)
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 

@@ -418,6 +418,21 @@ def test_batch_sc_empty():
     assert y_l.shape == (0,) and z_r.shape == (0, 3)
 
 
+@pytest.mark.parametrize("n_rows", [0, 6])
+def test_batch_sc_no_rows_and_all_degenerate_rows_match_reference(n_rows):
+    # no live row for the sweep: the general path gives these shapes and values too
+    if n_rows:
+        lower, upper, w = batch_rows(409, n_rows, 5)
+        lower[:] = 0.0  # every row takes the extreme-consequent path
+        w[1] = 2.0  # tied consequents: the first active rule wins
+    else:
+        lower = upper = w = np.zeros((0, 5))
+    assert_rows_match_reference(lower, upper, w)
+    y_l, y_r, z_l, z_r = sc_reduce_batch(lower, upper, w)
+    assert y_l.shape == y_r.shape == (n_rows,) and y_l.dtype == y_r.dtype == np.float64
+    assert z_l.shape == z_r.shape == (n_rows, 5) and z_l.dtype == z_r.dtype == np.int8
+
+
 def head_scale_rows(seed, n_rows, n_inputs=300, n_rules=60, width_scale=(0.15, 0.45)):
     """Firings of a head-sized rule base on wide features, with linear consequents.
 
