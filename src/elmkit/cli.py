@@ -182,10 +182,11 @@ def cmd_bench(args) -> int:
     for name, pipe_cfg in pipelines:
         model = hml_train(train.x, train.labels, pipe_cfg)
         test_acc = (predict_labels(hml_predict(model, test.x)) == test.labels).mean()
+        head_layer = [] if pipe_cfg.head == "ridge" else [pipe_cfg.head_size]  # a ridge readout has no layer
         rows.append(
             {
                 "model": name,
-                "structure": [train.n_features, *pipe_cfg.layer_sizes, pipe_cfg.head_size, ds.n_classes],
+                "structure": [train.n_features, *pipe_cfg.layer_sizes, *head_layer, ds.n_classes],
                 "train_accuracy": model.metrics.train_accuracy,
                 "test_accuracy": float(test_acc),
                 "train_seconds": model.metrics.total_seconds,

@@ -50,8 +50,12 @@ class LabeledDataset:
 def write_atomic(path, chunks) -> None:
     """Write the byte chunks to a temp file beside ``path``, then rename it onto ``path``."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
-    # mode 0o666 less the umask, as open(path, "wb") would create it
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        # mode 0o666 less the umask, as open(path, "wb") would create it
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
+    except OSError as e:
+        # the temp name is ours, not the caller's: report the path asked for
+        raise OSError(e.errno, e.strerror, os.fspath(path)) from None
     try:
         with os.fdopen(fd, "wb") as f:
             for chunk in chunks:

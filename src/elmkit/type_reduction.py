@@ -83,12 +83,10 @@ def firing_batch(rules: It2RuleBase, x) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"expected (*, {rules.n_inputs}) samples, got {x.shape}")
     p = x.shape[0]
     d2 = np.empty((p, rules.n_rules))
-    diff = np.empty((min(p, _FIRING_ROWS), x.shape[1]))  # one row block, reused for every rule
     for s in range(0, p, _FIRING_ROWS):
-        block = diff[: min(_FIRING_ROWS, p - s)]
+        e = s + _FIRING_ROWS
         for j in range(rules.n_rules):
-            np.square(np.subtract(x[s : s + _FIRING_ROWS], rules.centers[j], out=block), out=block)
-            block.sum(axis=1, out=d2[s : s + _FIRING_ROWS, j])
+            np.square(x[s:e] - rules.centers[j]).sum(axis=1, out=d2[s:e, j])
     log_upper = -d2 / (2.0 * rules.sigma_upper**2)
     log_lower = -d2 / (2.0 * rules.sigma_lower**2)
     shifts = log_upper.max(axis=1)
@@ -272,9 +270,9 @@ def sc_reduce_batch(lower: np.ndarray, upper: np.ndarray, w: np.ndarray):
     entirely zero take the degenerate extreme-consequent path.
 
     The sweep runs on rule-major copies, so step j reads contiguous rows,
-    and updates every row densely: a row that does not flip adds a step of
-    +0.0, which leaves d1 and d2 bit for bit as they were, so each row sees
-    the same operations as a per-row loop.
+    and updates every row densely: a row that does not flip gets a step
+    of zero, which leaves its d1 and d2 at their values, so each row takes
+    the same flips and keeps the same sums as a per-row loop.
     """
     p, m = w.shape
     y_l = np.empty(p)
@@ -291,38 +289,25 @@ def sc_reduce_batch(lower: np.ndarray, upper: np.ndarray, w: np.ndarray):
     delta = up - lo
     delta_t = np.ascontiguousarray(delta.T)
     w_t = np.ascontiguousarray(ww.T)
-    n = live.size
-    a = np.empty(n)
-    neg = np.empty(n, dtype=bool)
-    pos = np.empty(n, dtype=bool)
-    to_upper = np.empty(n, dtype=bool)
-    to_lower = np.empty(n, dtype=bool)
-    flip = np.empty(n, dtype=bool)
-    step = np.empty(n)
     for left, ys, zs in ((True, y_l, z_l), (False, y_r, z_r)):
-        z_t = np.ones((m, n), dtype=bool)
+        z_t = np.ones((m, live.size), dtype=bool)
         d1 = up.sum(axis=1)
         d2 = (up * ww).sum(axis=1)
-        # y_l moves a rule to its upper band when w[j] lies below the
-        # current output (a < 0), y_r when it lies above; a == 0 keeps it
-        up_when, down_when = (neg, pos) if left else (pos, neg)
         for _ in range(m + 2):
             any_flip = False
             for j in range(m):
-                np.multiply(w_t[j], d1, out=a)
-                np.subtract(a, d2, out=a)
-                np.less(a, 0.0, out=neg)
-                np.greater(a, 0.0, out=pos)
-                np.greater(up_when, z_t[j], out=to_upper)  # up_when and not z
-                np.logical_and(down_when, z_t[j], out=to_lower)
-                np.logical_or(to_upper, to_lower, out=flip)
+                a = w_t[j] * d1 - d2
+                # y_l moves a rule to its upper band when w[j] lies below the
+                # current output (a < 0), y_r when it lies above; a == 0 keeps it
+                up_when, down_when = (a < 0.0, a > 0.0) if left else (a > 0.0, a < 0.0)
+                to_upper = up_when > z_t[j]  # up_when and not z
+                to_lower = down_when & z_t[j]
+                flip = to_upper | to_lower
                 if flip.any():
                     any_flip = True
-                    np.subtract(to_upper, to_lower, out=step, dtype=np.float64)
-                    np.multiply(step, delta_t[j], out=step)
+                    step = np.subtract(to_upper, to_lower, dtype=np.float64) * delta_t[j]
                     d1 += step
-                    np.multiply(step, w_t[j], out=step)
-                    d2 += step
+                    d2 += step * w_t[j]
                     z_t[j] ^= flip
             if not any_flip:
                 break

@@ -1,3 +1,4 @@
+import errno
 import os
 import re
 import stat
@@ -159,6 +160,15 @@ def test_write_atomic_failure_leaves_the_old_file_and_no_temp_file(tmp_path):
         write_atomic(target, chunks())
     assert target.read_bytes() == b"old contents"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
+
+
+def test_write_atomic_into_a_missing_directory_names_the_target(tmp_path):
+    target = tmp_path / "missing" / "out.bin"
+    with pytest.raises(OSError) as err:
+        write_atomic(target, [b"x"])
+    assert err.value.errno == errno.ENOENT
+    assert str(target) in str(err.value) and "tmp" not in str(err.value).replace(str(tmp_path), ""), err.value
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_write_atomic_gives_the_mode_open_gives(tmp_path):
