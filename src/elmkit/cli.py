@@ -8,6 +8,7 @@ through a temp-file-then-rename step.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -72,6 +73,8 @@ def load_manifest(path) -> LabeledDataset:
 
 
 def cmd_train(args) -> int:
+    if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):  # refused before the data is loaded
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     config = PipelineConfig.from_dict(_load_json(args.config, "config"))
     if args.seed is not None:
         config = replace(config, seed=args.seed)

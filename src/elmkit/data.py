@@ -60,7 +60,10 @@ def write_atomic(path, chunks) -> None:
         with os.fdopen(fd, "wb") as f:
             for chunk in chunks:
                 f.write(chunk)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as e:
+            raise OSError(e.errno, e.strerror, os.fspath(path)) from None
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

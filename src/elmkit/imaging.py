@@ -7,9 +7,8 @@ Segmentation runs hue-band masking, a small box blur, a binary threshold,
 a larger box blur, a second threshold, and largest-component selection,
 then reports the component's integer centroid.  Border handling is
 zero-padded throughout, which keeps the pipeline translation equivariant
-away from the frame edges.  ``segment_frames`` runs each step but the last
-as one array pass over a stack of frames; ``segment_object`` is its
-one-frame view.
+away from the frame edges.  ``segment_frames`` runs each step as one array
+pass over a stack of frames; ``segment_object`` is its one-frame view.
 
 The in-band test reads 8-bit hue and saturation codes through 256-entry
 tables.  It converts only the pixels that pass the value floor and, when no
@@ -20,8 +19,6 @@ kept wherever it lies.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -161,50 +158,51 @@ def _blur_threshold(mask: np.ndarray, size: int, threshold: float) -> np.ndarray
     return counts >= np.ceil(threshold * peak).astype(counts.dtype)
 
 
-def _largest_component(mask: np.ndarray):
-    """(uint8 mask, rounded centroid) of the largest 4-connected component of a non-empty mask.
+def _largest_components(masks: np.ndarray):
+    """[(uint8 mask, rounded centroid)] of the largest 4-connected component
+    of each plane of an ``(n, h, w)`` stack of non-empty masks.
 
-    Works on horizontal runs in raster order.  Runs in adjacent rows whose
-    columns overlap are joined under the smaller run index, so components
-    rank like ``ndimage.label``'s numbering, and a tie in size goes to the
-    component that starts first.
+    The runs of the whole stack are labelled by hook and shortcut (Shiloach
+    and Vishkin, J. Algorithms 3(1), 1982): each pair of runs in adjacent
+    rows whose columns overlap hooks its larger label onto the smaller, then
+    each label takes its label's label, until every pair agrees.  A
+    component's label is then its first run, so a tie in size goes to the
+    component that starts first, as in ``ndimage.label``'s numbering.
     """
-    h, w = mask.shape
-    stride = w + 1  # rows of the raster end in a clear pixel, so no run wraps into the next row
-    raster = np.zeros(h * stride + 1, dtype=bool)  # and a clear pixel before the first row
-    raster[1:].reshape(h, stride)[:, :w] = mask
+    n, h, w = masks.shape
+    stride = w + 1  # each row ends in a clear pixel and each plane in a clear row, so no run wraps
+    raster = np.zeros(n * (h + 1) * stride + 1, dtype=bool)  # and a clear pixel before the first row
+    raster[1:].reshape(n, h + 1, stride)[:, :h, :w] = masks
     edges = np.flatnonzero(raster[1:] != raster[:-1])
     start, end = edges[::2], edges[1::2]  # run i covers [start[i], end[i]) of raster[1:]
     # the runs of the next row that overlap run i are first[i] <= j < last[i]
     first = np.searchsorted(end, start + stride, side="right")
     last = np.searchsorted(start, end + stride, side="left")
-    parent = list(range(start.size))
-
-    def root(i):
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
-    for i, lo, hi in zip(range(start.size), first.tolist(), last.tolist()):
-        for j in range(lo, hi):
-            a, b = root(i), root(j)
-            parent[max(a, b)] = min(a, b)
-    roots = np.array([root(i) for i in range(start.size)])
+    count = last - first
+    i = np.repeat(np.arange(start.size), count)
+    j = np.arange(i.size) - np.repeat(np.cumsum(count) - count - first, count)
+    label = np.arange(start.size)
+    while not np.array_equal(a := label[i], b := label[j]):
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        label = label[label]
     length = end - start
-    keep = roots == np.argmax(np.bincount(roots, weights=length))
-    start, length = start[keep], length[keep]
-    row = start // stride
-    col = start - row * stride
+    plane, offset = np.divmod(start, (h + 1) * stride)
+    row, col = np.divmod(offset, stride)
+    size = np.bincount(label, weights=length, minlength=label.size)  # held by each component's first run
+    best = np.lexsort((-size, plane))  # by plane, then size down; stable, so a tie keeps the smaller label
+    keep = np.isin(label, best[np.searchsorted(plane, np.arange(n))])
+    plane, row, col, length = plane[keep], row[keep], col[keep], length[keep]
     # pixel k of the kept runs lies at k + (run start - pixels in earlier runs)
     before = np.cumsum(length) - length
-    n = int(before[-1] + length[-1])
-    component = np.zeros(h * w, dtype=np.uint8)
-    component[np.repeat(row * w + col - before, length) + np.arange(n)] = 1
+    components = np.zeros((n, h, w), dtype=np.uint8)
+    components.reshape(-1)[np.repeat((plane * h + row) * w + col - before, length) + np.arange(length.sum())] = 1
     # exact integer sums, so each mean is the float rows.mean() gives; round
     # half up: commutes with integer shifts, keeping the pipeline translation
     # equivariant (half-even rounding would not)
-    sums = int(row @ length), int((2 * col + length - 1) @ length) // 2
-    return component.reshape(h, w), tuple(math.floor(total / n + 0.5) for total in sums)
+    bounds = np.searchsorted(plane, np.arange(n))
+    sums = np.add.reduceat([row * length, (2 * col + length - 1) * length // 2, length], bounds, axis=1)
+    centroids = np.floor(sums[:2] / sums[2] + 0.5).astype(np.int64).T.tolist()
+    return [(component, tuple(centroid)) for component, centroid in zip(components, centroids)]
 
 
 def _code_tables(hue_lo: float, hue_hi: float):
@@ -227,10 +225,11 @@ def _code_tables(hue_lo: float, hue_hi: float):
 def segment_frames(frames: np.ndarray, hue_lo: float, hue_hi: float, threshold: float = 0.5):
     """Isolate the largest in-band object of each frame of an ``(n, h, w, 3)`` uint8 stack.
 
-    Returns a list of (mask, (row, col) centroid), one per frame.  ``hue_lo``
-    and ``hue_hi`` are degrees in [0, 360]; a range with hue_lo > hue_hi
-    wraps around 0/360 (e.g. 330..30 selects reds).  The in-band test reads
-    the same 8-bit hue, saturation and value as ``rgb_to_hsv``.
+    Returns a list of (mask, (row, col) centroid), one per frame; each step,
+    the component labelling included, is one array pass over the stack.
+    ``hue_lo`` and ``hue_hi`` are degrees in [0, 360]; a range with hue_lo >
+    hue_hi wraps around 0/360 (e.g. 330..30 selects reds).  The in-band test
+    reads the same 8-bit hue, saturation and value as ``rgb_to_hsv``.
     ``threshold`` is a fraction of each frame's post-blur maximum.  A frame
     with no in-band pixel raises ValueError("no object in hue band").
     """
@@ -253,7 +252,7 @@ def segment_frames(frames: np.ndarray, hue_lo: float, hue_hi: float, threshold: 
         raise ValueError("no object in hue band")
     for size in BLUR_SIZES:  # a non-empty mask's blur peaks above 0 and keeps its peak
         mask = _blur_threshold(mask, size, threshold)
-    return [_largest_component(plane) for plane in mask]
+    return _largest_components(mask)
 
 
 def segment_object(px: np.ndarray, hue_lo: float, hue_hi: float, threshold: float = 0.5):

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from elmkit import cli
 from elmkit.cli import build_parser, main
 from elmkit.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, save_idx
 from elmkit.imaging import write_ppm
@@ -62,6 +63,14 @@ def test_train_missing_manifest(blob_manifest, capsys):
                "--out", str(tmp / "m.bin")])
     assert rc == 2
     assert "manifest not found" in capsys.readouterr().err
+
+
+def test_train_refuses_an_output_in_a_missing_directory_before_training(blob_manifest, capsys, monkeypatch):
+    tmp, manifest, config = blob_manifest
+    monkeypatch.setattr(cli, "hml_train", lambda *a, **k: pytest.fail("trained before refusing the output"))
+    out = str(tmp / "missing" / "m.bin")
+    assert main(["train", "--config", config, "--data", manifest, "--out", out]) == 2
+    assert out in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -171,6 +171,16 @@ def test_write_atomic_into_a_missing_directory_names_the_target(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_write_atomic_onto_a_directory_names_the_target(tmp_path):
+    target = tmp_path / "isdir.bin"
+    target.mkdir()
+    with pytest.raises(OSError) as err:
+        write_atomic(target, [b"x"])
+    assert err.value.errno == errno.EISDIR
+    assert str(target) in str(err.value) and ".tmp" not in str(err.value), err.value
+    assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
+
+
 def test_write_atomic_gives_the_mode_open_gives(tmp_path):
     old = os.umask(0o027)
     try:

@@ -434,16 +434,39 @@ def test_largest_component_matches_ndimage_label():
     two_squares = np.zeros((8, 12), bool)  # equal sizes: the one that starts first wins
     two_squares[3:6, 1:4] = two_squares[2:5, 8:11] = True
     edge_cases = [checkerboard, ~checkerboard, np.eye(6, dtype=bool), np.eye(6, dtype=bool)[::-1], two_squares]
+    # segment_frames never passes an empty mask
+    masks = [mask for mask in [*edge_cases, *_test_masks(gen, 1500)] if mask.any()]
+    same_shape = {}
+    for mask in masks:
+        same_shape.setdefault(mask.shape, []).append(mask)
+    stacks = [mask[None] for mask in masks] + [np.stack(group) for group in same_shape.values() if len(group) > 1]
+    assert len(stacks) > len(masks) + 100
+    for stack in stacks:
+        for mask, got in zip(stack, imaging._largest_components(stack), strict=True):
+            expected = reference_largest_component(mask)
+            assert got[0].tobytes() == expected[0].tobytes() and got[1] == expected[1], mask.shape
     ties = 0
-    for mask in [*edge_cases, *_test_masks(gen, 1500)]:
-        expected = reference_largest_component(mask)
-        if expected is None:  # segment_frames never passes an empty mask
-            continue
-        got = imaging._largest_component(mask)
-        assert got[0].tobytes() == expected[0].tobytes() and got[1] == expected[1], mask.shape
+    for mask in masks:
         sizes = np.sort(np.bincount(ndimage.label(mask)[0].ravel())[1:])
         ties += sizes.size > 1 and sizes[-1] == sizes[-2]
     assert ties > 100
+
+
+def test_largest_components_of_a_stack_whose_planes_differ():
+    stack = np.zeros((6, 12, 16), bool)
+    stack[0, 5:8, 5:9] = True  # one component
+    stack[1, 0, 0] = stack[1, 2:4, 2:4] = True  # three, the largest last
+    stack[1, 9:12, 10:16] = True
+    stack[2, 1:3, 1:3] = stack[2, 1:3, 12:14] = stack[2, 8:10, 6:8] = True  # a three-way tie: the first wins
+    stack[3, 0:2, 13:16] = True  # six pixels, then a U of 27 whose arms join in its last row
+    stack[3, 1:11, 2] = stack[3, 1:11, 9] = stack[3, 11, 2:10] = True
+    stack[4] = True  # the whole plane, against the last row of the one before and the first of the one after
+    stack[5, 0, :15] = stack[5, 2, 1:] = True  # a tie between two rows
+    stack[5, 11, 15] = True
+    assert [ndimage.label(mask)[1] for mask in stack] == [1, 3, 3, 2, 1, 3]
+    for mask, got in zip(stack, imaging._largest_components(stack), strict=True):
+        expected = reference_largest_component(mask)
+        assert got[0].tobytes() == expected[0].tobytes() and got[1] == expected[1]
 
 
 def test_hsv_matches_reference_bytes():
