@@ -18,6 +18,8 @@ import numpy as np
 from .elm import sigmoid
 from .numerics import Rng, as_integer, as_matrix, orthonormal_random, ridge_solve, unit_row
 
+_RESIDUAL_ROWS = 256  # rows of the reconstruction residual that ae_train holds at once
+
 
 @dataclass(frozen=True)
 class Autoencoder:
@@ -43,6 +45,7 @@ def ae_train(x, n_hidden: int, c: float, rng: Rng) -> Autoencoder:
     h = x a with square orthogonal a (no bias, no squashing) and beta = a',
     which is the paper's pinv(h) x for full-column-rank x and encodes the
     training rows identically for any x; ``c`` is checked but unused.
+    The reconstruction error sums the residual h beta - x over row blocks.
     """
     x = as_matrix(x, "x")
     n_hidden = as_integer(n_hidden, "n_hidden")
@@ -58,8 +61,12 @@ def ae_train(x, n_hidden: int, c: float, rng: Rng) -> Autoencoder:
     else:
         h = sigmoid(x @ a + unit_row(n_hidden, rng.split(1)))
         beta = ridge_solve(h, x, c)
+    squares = 0.0  # of the residual h beta - x, summed over row blocks
+    for i in range(0, x.shape[0], _RESIDUAL_ROWS):
+        r = h[i : i + _RESIDUAL_ROWS] @ beta - x[i : i + _RESIDUAL_ROWS]
+        squares += np.vdot(r, r)
     x_norm = np.linalg.norm(x)
-    recon_err = float(np.linalg.norm(h @ beta - x) / x_norm) if x_norm > 0 else 0.0
+    recon_err = float(np.sqrt(squares) / x_norm) if x_norm > 0 else 0.0
     return Autoencoder(beta, recon_err)
 
 

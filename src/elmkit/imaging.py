@@ -15,7 +15,9 @@ tables.  It converts only the pixels that pass the value floor and, when no
 green- or blue-max pixel can be in band, whose strongest channel is red.
 Each blur keeps the windows whose exact integer count of set pixels is at
 least the threshold times the frame's peak count, so a tie on the cut is
-kept wherever it lies.
+kept wherever it lies.  A frame whose in-band pixels fill no window of the
+first blur holds no object, only specks, thin lines or scattered noise, and
+is refused whatever the threshold.
 """
 
 from __future__ import annotations
@@ -134,15 +136,9 @@ def write_ppm(px: np.ndarray, path) -> None:
     write_atomic(path, [f"P6\n{w} {h}\n255\n".encode(), px.tobytes()])
 
 
-def _blur_threshold(mask: np.ndarray, size: int, threshold: float) -> np.ndarray:
-    """The windows of a ``size x size`` box blur whose count reaches ``threshold`` times the peak count.
-
-    ``mask`` is ``(..., h, w)``; each ``(h, w)`` plane is blurred on its own,
-    against its own peak.  Counts are exact integers, summed from shifted
-    slices of the zero-padded mask.  For an integer count c, c >= threshold *
-    peak in float64 is c >= ceil(threshold * peak), so every window is
-    decided exactly.
-    """
+def _window_counts(mask: np.ndarray, size: int) -> np.ndarray:
+    """The exact integer count of set pixels in every zero-padded ``size x size`` window of each
+    ``(h, w)`` plane of ``mask``, summed from shifted slices."""
     *lead, h, w = mask.shape
     pad = size // 2
     padded = np.zeros((*lead, h + size - 1, w + size - 1), dtype=np.min_scalar_type(size * size))
@@ -153,6 +149,17 @@ def _blur_threshold(mask: np.ndarray, size: int, threshold: float) -> np.ndarray
     counts = cols[..., :w].copy()
     for k in range(1, size):
         counts += cols[..., k : k + w]
+    return counts
+
+
+def _blur_threshold(mask: np.ndarray, size: int, threshold: float) -> np.ndarray:
+    """The windows of a ``size x size`` box blur whose count reaches ``threshold`` times the peak count.
+
+    ``mask`` is ``(..., h, w)``; each ``(h, w)`` plane is blurred on its own,
+    against its own peak.  For an integer count c, c >= threshold * peak in
+    float64 is c >= ceil(threshold * peak), so every window is decided exactly.
+    """
+    counts = _window_counts(mask, size)
     # the cut is at most the peak, so it fits the counts' type
     peak = counts.max(axis=(-2, -1), keepdims=True).astype(np.float64)
     return counts >= np.ceil(threshold * peak).astype(counts.dtype)
@@ -230,8 +237,9 @@ def segment_frames(frames: np.ndarray, hue_lo: float, hue_hi: float, threshold: 
     ``hue_lo`` and ``hue_hi`` are degrees in [0, 360]; a range with hue_lo >
     hue_hi wraps around 0/360 (e.g. 330..30 selects reds).  The in-band test
     reads the same 8-bit hue, saturation and value as ``rgb_to_hsv``.
-    ``threshold`` is a fraction of each frame's post-blur maximum.  A frame
-    with no in-band pixel raises ValueError("no object in hue band").
+    ``threshold`` is a fraction of each frame's post-blur maximum.  A stack
+    with a frame whose in-band pixels fill no ``3 x 3`` window (the first of
+    ``BLUR_SIZES``) raises ValueError("no object in hue band").
     """
     frames = _rgb8(frames, stack=True)
     if not (0.0 <= hue_lo <= 360.0 and 0.0 <= hue_hi <= 360.0):
@@ -248,11 +256,15 @@ def segment_frames(frames: np.ndarray, hue_lo: float, hue_hi: float, threshold: 
     h8, s8, _ = _hsv8(np.take(frames.reshape(-1, 3), candidates, axis=0))
     mask = np.zeros(maxc.shape, dtype=bool)
     mask.reshape(-1)[candidates] = band[h8] & sat[s8]
-    if not mask.any(axis=(1, 2)).all():
+    small, large = BLUR_SIZES
+    area = small * small
+    counts = _window_counts(mask, small)
+    # an object fills some small window with in-band pixels, where specks, thin lines, scattered noise
+    # and an empty mask fill none; so each frame kept peaks at the full count, and the cut is one number
+    if not (counts == area).any(axis=(1, 2)).all():
         raise ValueError("no object in hue band")
-    for size in BLUR_SIZES:  # a non-empty mask's blur peaks above 0 and keeps its peak
-        mask = _blur_threshold(mask, size, threshold)
-    return _largest_components(mask)
+    mask = counts >= int(np.ceil(float(threshold) * area))
+    return _largest_components(_blur_threshold(mask, large, threshold))
 
 
 def segment_object(px: np.ndarray, hue_lo: float, hue_hi: float, threshold: float = 0.5):

@@ -50,8 +50,9 @@ class PipelineConfig:
         # a head name that is not a string, such as a JSON list, would be a TypeError in the lookup
         if not isinstance(self.head, str) or self.head not in HEADS:
             raise ValueError(f"unknown head {self.head!r}; expected one of {tuple(HEADS)}")
-        if self.head != "ridge" and self.head_size < 1:
-            raise ValueError("head_size must be >= 1")
+        least = 2 if self.head == "sit2" else 1  # a fuzzy head needs two rules
+        if self.head != "ridge" and self.head_size < least:
+            raise ValueError(f"head_size must be >= {least} for the {self.head} head, got {self.head_size}")
 
     def to_dict(self) -> dict:
         return {
@@ -194,9 +195,9 @@ def hml_train(x, labels, config: PipelineConfig) -> HmlModel:
     if n_classes < 2:
         raise ValueError("need >= 2 classes in the labels")
     scaler = FeatureScaler.fit(x)
-    xs = scaler.transform(x)
     t0 = time.perf_counter()
-    stack, feats = stack_train(xs, config.layer_sizes, config.cs[:-1], Rng(config.seed).split(0))
+    # no name holds the scaled copy, so it is freed when the stack returns, before the head allocates
+    stack, feats = stack_train(scaler.transform(x), config.layer_sizes, config.cs[:-1], Rng(config.seed).split(0))
     t1 = time.perf_counter()
     fit = HEADS[config.head].fit
     head, scores = fit(feats, one_hot(labels, n_classes), config.head_size, config.cs[-1], Rng(config.seed).split(1))

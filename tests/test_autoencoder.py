@@ -183,3 +183,17 @@ def test_ae_train_peak_scales_with_its_input_not_its_square():
     finally:
         tracemalloc.stop()
     assert peak < 5 * x.nbytes  # 3 x here; an n_in x n_in Gram would be 75 x
+
+
+def test_ae_train_peak_holds_no_input_sized_temporary():
+    # the reconstruction residual is summed over row blocks, so a compressed layer on 2000 rows
+    # of 400 inputs forms no (2000, 400) array beside its input
+    x = Rng(17).generator().uniform(0.0, 1.0, (2000, 400))
+    ae_train(x[:50, :30], 10, 100.0, Rng(18))  # loads the solver before tracing
+    tracemalloc.start()
+    try:
+        ae_train(x, 10, 100.0, Rng(18))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes, peak

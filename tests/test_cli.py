@@ -73,6 +73,17 @@ def test_train_refuses_an_output_in_a_missing_directory_before_training(blob_man
     assert out in capsys.readouterr().err
 
 
+def test_train_refuses_a_sit2_head_of_one_rule_before_training(blob_manifest, capsys, monkeypatch):
+    tmp, manifest, _ = blob_manifest
+    monkeypatch.setattr(cli, "hml_train", lambda *a, **k: pytest.fail("trained before refusing the config"))
+    cfg = tmp / "one-rule.json"
+    cfg.write_text(json.dumps({"layer_sizes": [8], "Cs": [10, 1e4], "head": "sit2", "head_size": 1}))
+    out = tmp / "m.bin"
+    assert main(["train", "--config", str(cfg), "--data", manifest, "--out", str(out)]) == 2
+    assert "head_size must be >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "name, header, wants",
     [
@@ -322,6 +333,16 @@ def test_segment_cli(tmp_path, capsys):
     assert abs(centroid["centroid_row"] - 27) <= 1
     assert abs(centroid["centroid_col"] - 32) <= 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.ppm", "mask.ppm"]
+
+
+def test_segment_cli_refuses_a_frame_of_in_band_noise_alone(tmp_path, capsys):
+    # the red sample's green-hued noise pixels fill no 3 x 3 window
+    assert main(["synth", "--out", str(tmp_path / "test"), "--n-per-class", "10", "--seed", "2", "--samples", "1"]) == 0
+    image, out = tmp_path / "test" / "sample_000.ppm", tmp_path / "mask.ppm"
+    assert main(["segment", "--image", str(image), "--hue-lo", "90", "--hue-hi", "150", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.strip() == "error: no object in hue band"
+    assert not out.exists()
+    assert main(["segment", "--image", str(image), "--out", str(out)]) == 0
 
 
 def test_segment_cli_defaults_to_the_shapes_hue_band():

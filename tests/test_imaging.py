@@ -266,16 +266,12 @@ def reference_segment(px, hue_lo, hue_hi, sat_min, val_min):
     else:
         in_band = (hue >= hue_lo) | (hue <= hue_hi)
     mask = (in_band & (sat >= sat_min) & (val >= val_min)).astype(np.float64)
-    if not mask.any():
-        return "no object in hue band"
     for size in (3, 7):
         counts = window_counts(mask, size)
-        if counts.max() <= 0:
+        if size == 3 and counts.max() < 9:  # no 3 x 3 window wholly in band, as in an empty mask
             return "no object in hue band"
         mask = (counts >= 0.5 * counts.max()).astype(np.float64)
     labeled, n = ndimage.label(mask)
-    if n == 0:
-        return "no object in hue band"
     sizes = ndimage.sum_labels(np.ones_like(mask), labeled, index=np.arange(1, n + 1))
     component = labeled == int(np.argmax(sizes)) + 1
     rows, cols = np.nonzero(component)
@@ -321,7 +317,8 @@ def test_segment_matches_whole_frame_hsv_reference(monkeypatch):
         assert not isinstance(expected, str), (i, band, floors)
         assert mask.tobytes() == expected[0].tobytes(), (i, band, floors)
         assert centroid == expected[1], (i, band, floors)
-    assert 300 < found < 900  # both outcomes are exercised
+    # both outcomes are exercised; most random frames fill no 3 x 3 window with in-band pixels
+    assert 50 < found < 850, found
     assert used >= set(bands)
 
 
@@ -665,15 +662,38 @@ def test_segment_takes_numpy_hue_bounds():
 
 @pytest.mark.parametrize("threshold", [1e-12, 0.5, 1.0])
 def test_segment_frames_keeps_the_smallest_in_band_objects(threshold):
-    # each blur keeps its peak window, so the least in-band content still gives a component
-    frames = np.zeros((4, 60, 60, 3), dtype=np.uint8)
-    frames[0, 25, 31] = (255, 0, 0)  # one pixel
-    frames[1, 0, 0] = (255, 0, 0)  # one pixel in a corner, against the zero padding
-    frames[2, 40, 10:50] = (255, 0, 0)  # a one-row line
-    frames[3, 12, 8] = frames[3, 50, 44] = (255, 0, 0)  # two separated pixels
+    # the least object fills one 3 x 3 window with in-band pixels; each blur keeps its
+    # peak window, so it gives a component, in a corner against the zero padding too
+    frames = np.zeros((3, 60, 60, 3), dtype=np.uint8)
+    frames[0, 24:27, 30:33] = (255, 0, 0)  # one full window
+    frames[1, :3, :3] = (255, 0, 0)  # one full window in a corner
+    frames[2, 39:42, 10:50] = (255, 0, 0)  # a three-row bar
     for mask, centroid in segment_frames(frames, *HUE_BAND, threshold):
         assert mask.dtype == np.uint8 and mask.any() and set(np.unique(mask).tolist()) == {0, 1}
         assert mask[centroid] == 1, centroid
+    # in-band content that fills no 3 x 3 window is refused, whatever the threshold
+    specks = np.zeros((5, 60, 60, 3), dtype=np.uint8)
+    specks[0, 25, 31] = (255, 0, 0)  # one pixel
+    specks[1, 0, 0] = (255, 0, 0)  # one pixel in a corner
+    specks[2, 40, 10:50] = (255, 0, 0)  # a one-row line
+    specks[3, 12, 8] = specks[3, 50, 44] = (255, 0, 0)  # two separated pixels
+    specks[4, 24:27, 30:33] = (255, 0, 0)
+    specks[4, 25, 31] = 0  # a full window but for its centre
+    for speck in specks:
+        with pytest.raises(ValueError, match="^no object in hue band$"):
+            segment_frames(speck[None], *HUE_BAND, threshold)
+    with pytest.raises(ValueError, match="^no object in hue band$"):
+        segment_frames(np.concatenate([frames, specks[:1]]), *HUE_BAND, threshold)
+
+
+@pytest.mark.parametrize("noise", [0.25, 0.5])
+def test_segment_refuses_a_frame_of_in_band_noise_alone(noise):
+    # a red shape's frame under a green band holds only the green-hued noise pixels
+    for i, kind in enumerate(shapes.SHAPE_KINDS):
+        frame, _ = synth_shape(kind, ShapePose(30.0, 0.4 * i, (60, 60)), noise, Rng(41, i))
+        segment_object(frame, *HUE_BAND)
+        with pytest.raises(ValueError, match="^no object in hue band$"):
+            segment_object(frame, 90.0, 150.0)
 
 
 def test_segment_frames_refuses_a_stack_with_a_frame_out_of_band():

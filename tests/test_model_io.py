@@ -630,11 +630,11 @@ PIN_ENV = {"OPENBLAS_NUM_THREADS": "1", "OPENBLAS_CORETYPE": "Haswell",
            "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 # per head: the SHA-256 of the saved model file and of its reloaded copy's scores on the held-out rows
 PINNED_DIGESTS = {
-    "sit2": ("3994b1749866e5753292b6fa969a656842f0b1153295b4635ee1eb7c3695328d",
+    "sit2": ("834614d8822bb664ed4e589bdde76b4178eb65a83c381dcbe5420cf5ae682988",
              "c1e2fc00bb2ded47b92e6d00fdfbb6984219473b6d1993898a1ad38c457848d5"),
-    "ridge": ("fc587b7a0068ac0fffa8dbe1b034b0a6ac5a9d84c29084d0f07d7602b2588579",
+    "ridge": ("b8e95b84140ea04dc6a2bea89db756e0c10169b7f7fde51b61f2d3f8b94876a8",
               "250aa1f9c591719a8e3bb16425d07745ed10949816849c5e9cbaf3aa4004b0d3"),
-    "elm": ("229ee69eb393c9936ebfdd5274d8607670f85fe673b204225959e5f9f57f53b8",
+    "elm": ("c523962bd4400692b328282587909ea934e5c1a926a81ecb7ac085c2513e0438",
             "23fac9d03de9162412f0eeb9589851fd382ed55ba5f8e429cbf745e3ca72e724"),
 }
 

@@ -1,7 +1,10 @@
 import json
+import weakref
+
 import numpy as np
 import pytest
 
+from elmkit import pipeline
 from elmkit.elm import elm_predict, elm_train, predict_labels
 from elmkit.numerics import Rng, ridge_solve
 from elmkit.pipeline import (
@@ -32,6 +35,10 @@ def test_config_validation():
     for head in ("cnn", ["sit2"]):
         with pytest.raises(ValueError, match="unknown head"):
             PipelineConfig((4,), (1.0, 1.0), head=head)
+    # a fuzzy head of one rule is refused before anything trains; an elm head of one node is not
+    with pytest.raises(ValueError, match="^head_size must be >= 2 for the sit2 head, got 1$"):
+        PipelineConfig.from_dict({"layer_sizes": [8], "Cs": [10, 1e4], "head": "sit2", "head_size": 1})
+    assert PipelineConfig((8,), (10.0, 1e4), head="elm", head_size=1).head_size == 1
 
 
 def test_config_integers_are_not_truncated():
@@ -184,3 +191,22 @@ def test_config_accepts_infinite_ridge_constant():
     # integers are numbers too; JSON's Infinity parses to the same float
     parsed = PipelineConfig.from_dict(json.loads('{"layer_sizes": [4], "Cs": [1000, Infinity], "head": "ridge"}'))
     assert parsed.cs == (1000.0, math.inf) and all(type(c) is float for c in parsed.cs)
+
+
+def test_hml_train_frees_the_scaled_copy_before_the_head_fit(monkeypatch):
+    x, labels = blob_data(10)
+    scaled = []
+    stack_train, ridge = pipeline.stack_train, HEADS["ridge"]
+
+    def recording_stack_train(xs, *args):
+        scaled.append(weakref.ref(xs))
+        return stack_train(xs, *args)
+
+    def fit(*args):
+        assert len(scaled) == 1 and scaled[0]() is None, "the scaled input outlived the stack"
+        return ridge.fit(*args)
+
+    monkeypatch.setattr(pipeline, "stack_train", recording_stack_train)
+    monkeypatch.setitem(pipeline.HEADS, "ridge", ridge._replace(fit=fit))
+    model = hml_train(x, labels, PipelineConfig((4,), (10.0, 1e4), head="ridge", seed=4))
+    assert model.metrics.train_accuracy > 0.9
