@@ -45,7 +45,7 @@ def ae_train(x, n_hidden: int, c: float, rng: Rng) -> Autoencoder:
     h = x a with square orthogonal a (no bias, no squashing) and beta = a',
     which is the paper's pinv(h) x for full-column-rank x and encodes the
     training rows identically for any x; ``c`` is checked but unused.
-    The reconstruction error sums the residual h beta - x over row blocks.
+    The error sums the residual h beta - x over row blocks; equal layers form h = x a per block.
     """
     x = as_matrix(x, "x")
     n_hidden = as_integer(n_hidden, "n_hidden")
@@ -56,14 +56,14 @@ def ae_train(x, n_hidden: int, c: float, rng: Rng) -> Autoencoder:
     n_in = x.shape[1]
     a = orthonormal_random(n_in, n_hidden, rng.split(0))
     if n_hidden == n_in:
-        h = x @ a  # only for the reconstruction error below
         beta = np.ascontiguousarray(a.T)
     else:
         h = sigmoid(x @ a + unit_row(n_hidden, rng.split(1)))
         beta = ridge_solve(h, x, c)
     squares = 0.0  # of the residual h beta - x, summed over row blocks
     for i in range(0, x.shape[0], _RESIDUAL_ROWS):
-        r = h[i : i + _RESIDUAL_ROWS] @ beta - x[i : i + _RESIDUAL_ROWS]
+        xi = x[i : i + _RESIDUAL_ROWS]
+        r = (xi @ a if n_hidden == n_in else h[i : i + _RESIDUAL_ROWS]) @ beta - xi
         squares += np.vdot(r, r)
     x_norm = np.linalg.norm(x)
     recon_err = float(np.sqrt(squares) / x_norm) if x_norm > 0 else 0.0

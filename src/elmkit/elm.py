@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng, as_matrix, ridge_solve
+from .numerics import Rng, as_integer, as_matrix, ridge_solve
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -41,7 +41,7 @@ def elm_train(x, t, n_hidden: int, c: float, rng: Rng) -> tuple[ElmModel, np.nda
     """
     x = as_matrix(x, "x")
     t = as_matrix(t, "t")
-    if n_hidden < 1:
+    if as_integer(n_hidden, "n_hidden") < 1:
         raise ValueError("n_hidden must be >= 1")
     if t.shape[1] < 2:
         raise ValueError("need >= 2 classes: target matrix has a single column")

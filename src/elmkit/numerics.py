@@ -87,6 +87,8 @@ def _solve_spd(build, rhs: np.ndarray, c: float, out: np.ndarray | None = None) 
     With c = inf no jitter is applied: a singular system is reported instead
     of silently regularized.
     """
+    if not c > 0:
+        raise ValueError("c must be positive (math.inf allowed)")
     import scipy.linalg  # imported here: scoring and segmentation solve nothing
 
     n = rhs.shape[0]
@@ -129,8 +131,6 @@ def ridge_solve(h: np.ndarray, t: np.ndarray, c: float) -> np.ndarray:
     t = as_matrix(t, "t")
     if h.shape[0] != t.shape[0]:
         raise ValueError(f"row mismatch: h has {h.shape[0]} rows, t has {t.shape[0]}")
-    if not c > 0:
-        raise ValueError("c must be positive (math.inf allowed)")
     rows, cols = h.shape
     if cols <= rows:
         b = _solve_spd(lambda g: np.matmul(h.T, h, out=g), h.T @ t, c)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NumericalError, Rng, as_matrix, ridge_solve, _solve_spd
+from .numerics import NumericalError, Rng, as_integer, as_matrix, ridge_solve, _solve_spd
 from .type_reduction import It2RuleBase, ekm_reduce, firing_batch, sc_reduce_batch
 
 WIDTH_SCALE = (0.5, 1.5)  # upper widths, as multiples of the scaled half feature range
@@ -128,7 +128,7 @@ def sit2_train(
         raise ValueError(f"row mismatch: x has {x.shape[0]} rows, t has {t.shape[0]}")
     if t.shape[1] < 2:
         raise ValueError("need >= 2 classes: target matrix has a single column")
-    if n_rules < 2:
+    if as_integer(n_rules, "n_rules") < 2:
         raise ValueError("n_rules must be >= 2")
     gen = rng.generator()
     fmin = x.min(axis=0)

@@ -67,7 +67,7 @@ class It2RuleBase:
         return self.centers.shape[1]
 
 
-_FIRING_ROWS = 256  # rows per block of firing_batch's squared distances
+_FIRING_ROWS = 4  # rows per firing_batch block: its (rows, rules, inputs) difference is 0.6 MB on the digits head
 
 
 def firing_batch(rules: It2RuleBase, x) -> tuple[np.ndarray, np.ndarray]:
@@ -81,12 +81,9 @@ def firing_batch(rules: It2RuleBase, x) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != rules.n_inputs:
         raise ValueError(f"expected (*, {rules.n_inputs}) samples, got {x.shape}")
-    p = x.shape[0]
-    d2 = np.empty((p, rules.n_rules))
-    for s in range(0, p, _FIRING_ROWS):
-        e = s + _FIRING_ROWS
-        for j in range(rules.n_rules):
-            np.square(x[s:e] - rules.centers[j]).sum(axis=1, out=d2[s:e, j])
+    d2 = np.empty((len(x), rules.n_rules))
+    for s in range(0, len(x), _FIRING_ROWS):
+        np.square(x[s : s + _FIRING_ROWS, None, :] - rules.centers).sum(axis=2, out=d2[s : s + _FIRING_ROWS])
     log_upper = -d2 / (2.0 * rules.sigma_upper**2)
     log_lower = -d2 / (2.0 * rules.sigma_lower**2)
     shifts = log_upper.max(axis=1)

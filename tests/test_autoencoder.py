@@ -186,14 +186,15 @@ def test_ae_train_peak_scales_with_its_input_not_its_square():
 
 
 def test_ae_train_peak_holds_no_input_sized_temporary():
-    # the reconstruction residual is summed over row blocks, so a compressed layer on 2000 rows
-    # of 400 inputs forms no (2000, 400) array beside its input
+    # the reconstruction residual is summed over row blocks, so neither a compressed nor an
+    # equal layer on 2000 rows of 400 inputs forms a (2000, 400) array beside its input
     x = Rng(17).generator().uniform(0.0, 1.0, (2000, 400))
     ae_train(x[:50, :30], 10, 100.0, Rng(18))  # loads the solver before tracing
-    tracemalloc.start()
-    try:
-        ae_train(x, 10, 100.0, Rng(18))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < x.nbytes, peak
+    for n_hidden in (10, 400):
+        tracemalloc.start()
+        try:
+            ae_train(x, n_hidden, 100.0, Rng(18))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes, (n_hidden, peak)

@@ -70,6 +70,12 @@ def test_rejects_nonpositive_hidden_count():
         elm_train(XOR_X, XOR_T, 0, 1.0, Rng(0))
 
 
+@pytest.mark.parametrize("n_hidden", [2.5, 3.0, True])
+def test_rejects_a_hidden_count_that_is_not_an_integer(n_hidden):
+    with pytest.raises(ValueError, match="n_hidden must be an integer"):
+        elm_train(XOR_X, XOR_T, n_hidden, 1.0, Rng(0))
+
+
 def test_predict_rejects_feature_mismatch():
     model, _ = elm_train(XOR_X, XOR_T, 5, 1.0, Rng(0))
     with pytest.raises(ValueError, match="feature mismatch"):

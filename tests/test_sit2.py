@@ -50,6 +50,23 @@ def test_rejects_too_few_rules():
         sit2_train(x, t, 1, Rng(0))
 
 
+@pytest.mark.parametrize("n_rules", [3.0, 2.5, True])
+def test_rejects_a_rule_count_that_is_not_an_integer(n_rules):
+    x, t, _ = two_blobs()
+    with pytest.raises(ValueError, match="n_rules must be an integer"):
+        sit2_train(x, t, n_rules, Rng(0))
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("n_per_class, n_rules", [(40, 2), (10, 8)])
+def test_rejects_a_ridge_constant_that_is_not_positive_on_both_routes(n_per_class, n_rules, c):
+    # 80 rows against 2 x 3 columns take the tall route through ridge_solve,
+    # 20 rows against 8 x 3 the dual one straight to the shared solver
+    x, t, _ = two_blobs(n_per_class)
+    with pytest.raises(ValueError, match="c must be positive"):
+        sit2_train(x, t, n_rules, Rng(0), c=c)
+
+
 def test_collapsed_width_interval_skips_nothing_but_changes_nothing(monkeypatch):
     # sigma_lower == sigma_upper: the refinement pass rebuilds the very same
     # hidden rows, so refined consequents match the initial ones

@@ -106,7 +106,7 @@ def test_firing_batch_matches_scalar_exactly():
         assert one_upper[0].tobytes() == upper[p].tobytes()
 
 
-@pytest.mark.parametrize("p", [0, 1, 255, 256, 257, 600])
+@pytest.mark.parametrize("p", [0, 1, 3, 4, 5, 9, 255, 256, 257, 600])
 def test_firing_batch_matches_reference_across_row_blocks(p):
     # 150 inputs: each row's squared distance is a split pairwise sum
     gen = Rng(6).generator()
