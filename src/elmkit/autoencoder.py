@@ -40,11 +40,12 @@ class Autoencoder:
 def ae_train(x, n_hidden: int, c: float, rng: Rng) -> Autoencoder:
     """Fit one autoencoder layer on x.
 
-    Width != input: h = sigmoid(x a + b) with orthonormal a and a
-    unit-norm bias row, beta solved by ridge against x.  Width == input:
-    h = x a with square orthogonal a (no bias, no squashing) and beta = a',
-    which is the paper's pinv(h) x for full-column-rank x and encodes the
-    training rows identically for any x; ``c`` is checked but unused.
+    Width != input: h = sigmoid(x a + b), computed in the one array x a
+    returns, with orthonormal a and a unit-norm bias row, beta solved by
+    ridge against x.  Width == input: h = x a with square orthogonal a
+    (no bias, no squashing) and beta = a', which is the paper's pinv(h) x
+    for full-column-rank x and encodes the training rows identically for
+    any x; ``c`` is checked but unused.
     The error sums the residual h beta - x over row blocks; equal layers form h = x a per block.
     """
     x = as_matrix(x, "x")
@@ -58,7 +59,9 @@ def ae_train(x, n_hidden: int, c: float, rng: Rng) -> Autoencoder:
     if n_hidden == n_in:
         beta = np.ascontiguousarray(a.T)
     else:
-        h = sigmoid(x @ a + unit_row(n_hidden, rng.split(1)))
+        h = x @ a
+        h += unit_row(n_hidden, rng.split(1))
+        h = sigmoid(h)
         beta = ridge_solve(h, x, c)
     squares = 0.0  # of the residual h beta - x, summed over row blocks
     for i in range(0, x.shape[0], _RESIDUAL_ROWS):

@@ -124,10 +124,19 @@ def save_idx(pixels, labels, images_path, labels_path, rows: int, cols: int) -> 
     write_atomic(labels_path, [struct.pack(">ii", IDX_LABEL_MAGIC, count), labels.astype(np.uint8).tobytes()])
 
 
+def _csv_records(path, f):
+    """The records of ``f``; a malformed one, such as an over-long field, is a ValueError naming its line."""
+    reader = csv.reader(f)
+    try:
+        yield from reader
+    except csv.Error as e:
+        raise ValueError(f"{path}:{reader.line_num}: {e}") from None
+
+
 def load_csv(path) -> LabeledDataset:
     """Load a CSV with a header row; the label column must be named 'label'."""
     with open(path, newline="") as f:
-        reader = csv.reader(f)
+        reader = _csv_records(path, f)
         try:
             header = next(reader)
         except StopIteration:

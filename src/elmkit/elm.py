@@ -15,8 +15,12 @@ from .numerics import Rng, as_integer, as_matrix, ridge_solve
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)), computed in the float64 array ``z``, which it overwrites and returns."""
     # clip keeps exp from overflowing; the function saturates there anyway
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
+    np.clip(z, -500.0, 500.0, out=z)
+    np.exp(np.negative(z, out=z), out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,9 @@ def elm_train(x, t, n_hidden: int, c: float, rng: Rng) -> tuple[ElmModel, np.nda
     gen = rng.generator()
     a = gen.uniform(-1.0, 1.0, size=(x.shape[1], n_hidden))
     b = gen.uniform(0.0, 1.0, size=n_hidden)
-    h = sigmoid(x @ a + b)
+    h = x @ a
+    h += b
+    h = sigmoid(h)
     beta = ridge_solve(h, t, c)
     return ElmModel(a, b, beta), h @ beta
 
@@ -62,8 +68,9 @@ def elm_predict(model: ElmModel, x) -> np.ndarray:
         raise ValueError(
             f"feature mismatch: model expects {model.input_weights.shape[0]}, got {x.shape[1]}"
         )
-    h = sigmoid(x @ model.input_weights + model.biases)
-    return h @ model.output_weights
+    h = x @ model.input_weights
+    h += model.biases
+    return sigmoid(h) @ model.output_weights
 
 
 def predict_labels(scores) -> np.ndarray:

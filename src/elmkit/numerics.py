@@ -73,6 +73,12 @@ def as_matrix(a, name: str = "matrix", min_rows: int = 1) -> np.ndarray:
     return m
 
 
+def check_ridge_constant(c: float) -> None:
+    """Refuse a ridge constant that is not positive (NaN included); math.inf is allowed."""
+    if not c > 0:
+        raise ValueError("c must be positive (math.inf allowed)")
+
+
 def _solve_spd(build, rhs: np.ndarray, c: float, out: np.ndarray | None = None) -> np.ndarray:
     """Solve (G + I/c) x = rhs by Cholesky with a jittered retry ladder.
 
@@ -87,8 +93,7 @@ def _solve_spd(build, rhs: np.ndarray, c: float, out: np.ndarray | None = None) 
     With c = inf no jitter is applied: a singular system is reported instead
     of silently regularized.
     """
-    if not c > 0:
-        raise ValueError("c must be positive (math.inf allowed)")
+    check_ridge_constant(c)
     import scipy.linalg  # imported here: scoring and segmentation solve nothing
 
     n = rhs.shape[0]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NumericalError, Rng, as_integer, as_matrix, ridge_solve, _solve_spd
+from .numerics import NumericalError, Rng, as_integer, as_matrix, check_ridge_constant, ridge_solve, _solve_spd
 from .type_reduction import It2RuleBase, ekm_reduce, firing_batch, sc_reduce_batch
 
 WIDTH_SCALE = (0.5, 1.5)  # upper widths, as multiples of the scaled half feature range
@@ -113,7 +113,7 @@ def sit2_train(
     t,
     n_rules: int,
     rng: Rng,
-    c: float = 1e6,
+    c: float,
     refine: bool = True,
 ) -> tuple[Sit2Model, np.ndarray]:
     """Fit the classifier on one-hot targets t; returns the model and its scores on x.
@@ -130,6 +130,7 @@ def sit2_train(
         raise ValueError("need >= 2 classes: target matrix has a single column")
     if as_integer(n_rules, "n_rules") < 2:
         raise ValueError("n_rules must be >= 2")
+    check_ridge_constant(c)
     gen = rng.generator()
     fmin = x.min(axis=0)
     fmax = x.max(axis=0)

@@ -10,7 +10,7 @@ from elmkit.autoencoder import (
     stack_train,
     stack_transform,
 )
-from elmkit.elm import sigmoid
+from elmkit.elm import elm_predict, elm_train, sigmoid
 from elmkit.numerics import Rng, orthonormal_random, ridge_solve, unit_row
 
 
@@ -198,3 +198,32 @@ def test_ae_train_peak_holds_no_input_sized_temporary():
         finally:
             tracemalloc.stop()
         assert peak < x.nbytes, (n_hidden, peak)
+
+
+@pytest.mark.parametrize("call, width, bound", [
+    ("ae_train", 300, 2.0),
+    ("ae_train", 600, 2.0),
+    ("elm_train", 300, 1.6),
+    ("ae_encode", 300, 1.25),
+    ("elm_predict", 300, 1.25),
+])
+def test_hidden_layer_holds_one_rows_by_width_array(call, width, bound):
+    # each hidden layer adds its bias and squashes in the array its matmul returns, so a layer
+    # of width w on 2000 rows of 400 inputs peaks under `bound` (2000, w) float64 arrays
+    x = Rng(17).generator().uniform(0.0, 1.0, (2000, 400))
+    t = np.eye(3)[np.arange(x.shape[0]) % 3]
+    ae = ae_train(x, width, 100.0, Rng(18))  # also loads the solver before tracing
+    model, _ = elm_train(x, t, width, 100.0, Rng(19))
+    run = {
+        "ae_train": lambda: ae_train(x, width, 100.0, Rng(18)),
+        "elm_train": lambda: elm_train(x, t, width, 100.0, Rng(19)),
+        "ae_encode": lambda: ae_encode(ae, x),
+        "elm_predict": lambda: elm_predict(model, x),
+    }[call]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * x.shape[0] * width * 8, (call, width, peak / (x.shape[0] * width * 8))

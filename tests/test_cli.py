@@ -488,3 +488,16 @@ def test_csv_row_with_an_empty_label_is_usage_error(blob_manifest, capsys):
     assert main(["eval", "--model", model, "--data", str(bad), "--out", str(tmp / "eval")]) == 2
     assert f"{tmp / 'rows.csv'}:3: empty label" in capsys.readouterr().err
     assert not (tmp / "eval").exists()
+
+
+def test_csv_field_over_the_csv_module_limit_is_usage_error(blob_manifest, capsys):
+    # the csv module refuses a field longer than 131,072 characters; train names the file and line
+    tmp, _, config = blob_manifest
+    (tmp / "long.csv").write_text("a,b,label\n0.1,0.2,x\n0.3," + "4" * 200_000 + ",y\n")
+    bad = tmp / "long_manifest.json"
+    bad.write_text(json.dumps({"type": "csv", "path": "long.csv"}))
+    assert main(["train", "--config", config, "--data", str(bad), "--out", str(tmp / "model.bin")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.startswith(f"error: {tmp / 'long.csv'}:3: field larger"), err
+    assert "Traceback" not in err
+    assert not (tmp / "model.bin").exists()

@@ -38,10 +38,18 @@ def test_different_seeds_differ():
     assert a.input_weights.tobytes() != b.input_weights.tobytes()
 
 
+def test_sigmoid_overwrites_its_argument_with_the_clipped_logistic():
+    z0 = np.array([-600.0, -500.0, -30.0, -1.0, -1e-300, 0.0, 1e-300, 1.0, 30.0, 500.0, 600.0])
+    z = z0.copy()
+    out = sigmoid(z)
+    assert out is z
+    assert out.tobytes() == (1.0 / (1.0 + np.exp(-np.clip(z0, -500.0, 500.0)))).tobytes()
+
+
 def test_zero_row_scores_equal_bias_response():
     model, _ = elm_train(XOR_X, XOR_T, 8, 10.0, Rng(3))
     scores = elm_predict(model, np.zeros((1, 2)))
-    expected = sigmoid(model.biases) @ model.output_weights
+    expected = sigmoid(model.biases.copy()) @ model.output_weights
     np.testing.assert_allclose(scores[0], expected, atol=1e-12)
 
 

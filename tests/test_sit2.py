@@ -1,5 +1,6 @@
 import importlib.util
 import pathlib
+import re
 import sys
 import tracemalloc
 
@@ -41,20 +42,20 @@ def test_separable_blobs_high_training_accuracy():
 def test_rejects_single_column_targets():
     x, _, _ = two_blobs()
     with pytest.raises(ValueError, match="2 classes"):
-        sit2_train(x, np.ones((x.shape[0], 1)), 2, Rng(0))
+        sit2_train(x, np.ones((x.shape[0], 1)), 2, Rng(0), c=1e6)
 
 
 def test_rejects_too_few_rules():
     x, t, _ = two_blobs()
     with pytest.raises(ValueError, match="n_rules"):
-        sit2_train(x, t, 1, Rng(0))
+        sit2_train(x, t, 1, Rng(0), c=1e6)
 
 
 @pytest.mark.parametrize("n_rules", [3.0, 2.5, True])
 def test_rejects_a_rule_count_that_is_not_an_integer(n_rules):
     x, t, _ = two_blobs()
     with pytest.raises(ValueError, match="n_rules must be an integer"):
-        sit2_train(x, t, n_rules, Rng(0))
+        sit2_train(x, t, n_rules, Rng(0), c=1e6)
 
 
 @pytest.mark.parametrize("c", [0.0, -1.0, float("nan")])
@@ -65,6 +66,17 @@ def test_rejects_a_ridge_constant_that_is_not_positive_on_both_routes(n_per_clas
     x, t, _ = two_blobs(n_per_class)
     with pytest.raises(ValueError, match="c must be positive"):
         sit2_train(x, t, n_rules, Rng(0), c=c)
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0, float("nan")])
+def test_refuses_a_ridge_constant_that_is_not_positive_before_firing_a_row(monkeypatch, c):
+    def fire(*_):
+        raise AssertionError("rules fired before c was checked")
+
+    monkeypatch.setattr(sit2, "firing_batch", fire)
+    x, t, _ = two_blobs()
+    with pytest.raises(ValueError, match=re.escape("c must be positive (math.inf allowed)")):
+        sit2_train(x, t, 2, Rng(0), c=c)
 
 
 def test_collapsed_width_interval_skips_nothing_but_changes_nothing(monkeypatch):
@@ -135,7 +147,7 @@ def test_ekm_predictions_are_ekm_reduce_midpoints_bitwise():
 
 def test_unknown_reducer_rejected():
     x, t, _ = two_blobs(10)
-    model, _ = sit2_train(x, t, 2, Rng(0))
+    model, _ = sit2_train(x, t, 2, Rng(0), c=1e6)
     with pytest.raises(ValueError, match="reducer"):
         sit2_predict(model, x, reducer="km")
 
@@ -150,14 +162,14 @@ def test_determinism():
 
 def test_predict_feature_mismatch():
     x, t, _ = two_blobs(10)
-    model, _ = sit2_train(x, t, 2, Rng(0))
+    model, _ = sit2_train(x, t, 2, Rng(0), c=1e6)
     with pytest.raises(ValueError, match="feature mismatch"):
         sit2_predict(model, np.zeros((3, 5)))
 
 
 def test_predict_empty_batch():
     x, t, _ = two_blobs(10)
-    model, _ = sit2_train(x, t, 2, Rng(0))
+    model, _ = sit2_train(x, t, 2, Rng(0), c=1e6)
     assert sit2_predict(model, np.zeros((0, 2))).shape == (0, 2)
 
 
